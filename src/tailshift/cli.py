@@ -45,14 +45,16 @@ def _default_seed() -> int:
 
 
 def read_series(path: str) -> np.ndarray:
-    """Parse one real per line; blank lines and '#' comments are ignored."""
+    """Parse one finite real per line; blank lines and '#' comments are ignored."""
     name = "<stdin>" if path == "-" else path
     stream = sys.stdin if path == "-" else open(path, encoding="utf-8")
     values = []
+    skipped = []  # line numbers of blanks and comments, to map a value back to its line
     try:
         for lineno, raw in enumerate(stream, start=1):
             text = raw.strip()
             if not text or text.startswith("#"):
+                skipped.append(lineno)
                 continue
             try:
                 values.append(float(text))
@@ -61,7 +63,17 @@ def read_series(path: str) -> np.ndarray:
     finally:
         if stream is not sys.stdin:
             stream.close()
-    return np.asarray(values, dtype=float)
+    x = np.asarray(values, dtype=float)
+    finite = np.isfinite(x)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        lineno = i + 1
+        for s in skipped:
+            if s > lineno:
+                break
+            lineno += 1
+        raise ValueError(f"{name}, line {lineno}: {float(x[i])!r} is not a finite number")
+    return x
 
 
 def _outcome_record(outcome: TestOutcome) -> dict:
@@ -102,6 +114,7 @@ def _emit_outcome(outcome: TestOutcome, fmt: str, extra: dict | None = None) -> 
     print(f"alpha_hat: {outcome.alpha_hat:.6g}")
     if outcome.omega_hat is not None:
         print(f"omega_hat: {outcome.omega_hat:.6g}")
+    if outcome.chi_hat is not None:
         print(f"chi_hat: {outcome.chi_hat:.6g}")
     print(f"statistic: {outcome.statistic:.6g}")
     print(f"scale_factor: {outcome.scale_factor:.6g}")

@@ -8,18 +8,19 @@ change.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import null_dist
+from . import kernel, null_dist
 from .tail_core import (
     DegenerateThresholdError,
     ScalingEstimates,
+    _check_k,
     _descending,
-    _hill_sorted,
-    _log_excess_values,
+    _zero_floor,
+    _zero_threshold,
+    as_k,
     nonneg_view,
 )
 
@@ -66,6 +67,7 @@ class TailTestConfig:
     use_abs: bool = True
 
     def __post_init__(self):
+        object.__setattr__(self, "k", as_k(self.k))
         if self.k < 1:
             raise ValueError(f"k must be positive, got {self.k}")
         _check_phi(self.phi)
@@ -82,7 +84,8 @@ class TestOutcome:
     ``critical_value`` (reject when >=). ``l_hat`` is the smallest index
     attaining the maximum deviation and ``tau_hat = l_hat / n`` the implied
     change-point fraction. ``omega_hat``/``chi_hat`` are filled only in lag1
-    mode.
+    mode, and ``chi_hat`` stays None there when ``alpha_hat`` is infinite
+    (the indicator scaling does not use it).
     """
 
     n: int
@@ -102,15 +105,14 @@ class TestOutcome:
     tau_hat: float
 
 
-def _phi_values(v: np.ndarray, threshold: float, phi: str) -> np.ndarray:
-    if phi == "indicator":
-        return (v > threshold).astype(float)
-    return _log_excess_values(v, threshold)
-
-
-def _deviations(values: np.ndarray) -> np.ndarray:
-    n = values.size
-    return np.cumsum(values) - np.arange(1, n + 1) / n * values.sum()
+def _one_k(x, k: int, phi: str, use_abs: bool) -> kernel.TailGrid:
+    _check_phi(phi)
+    v = nonneg_view(x, use_abs)
+    _check_k(k, v.size)
+    grid = kernel.tail_grid(v, _descending(v), [k], phi)
+    if phi == "log_excess" and grid.threshold[0] <= 0.0:
+        raise _zero_threshold(k)
+    return grid
 
 
 def deviation_process(x, k: int, phi: str = "indicator", use_abs: bool = True) -> np.ndarray:
@@ -120,25 +122,13 @@ def deviation_process(x, k: int, phi: str = "indicator", use_abs: bool = True) -
     times their total, so ``D(n) = 0`` up to rounding. The threshold is the
     k-th largest viewed value and must be positive for the log transform.
     """
-    _check_phi(phi)
-    v = nonneg_view(x, use_abs)
-    n = v.size
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must satisfy 1 <= k <= n - 1 = {n - 1}, got {k}")
-    threshold = _descending(v)[k - 1]
-    if phi == "log_excess" and threshold <= 0.0:
-        raise DegenerateThresholdError(
-            f"k-th largest value is 0 (k={k}); log excesses are undefined"
-        )
-    return _deviations(_phi_values(v, threshold, phi))
+    return _one_k(x, k, phi, use_abs).deviations[0]
 
 
 def cusum_statistic(x, k: int, phi: str = "indicator", use_abs: bool = True) -> tuple[float, int]:
     """Raw statistic ``max_l |D(l)| / sqrt(k)`` and the smallest maximizing ``l``."""
-    d = deviation_process(x, k, phi, use_abs)
-    abs_d = np.abs(d)
-    l_hat = int(np.argmax(abs_d)) + 1  # argmax returns the first maximum
-    return float(abs_d[l_hat - 1]) / math.sqrt(k), l_hat
+    grid = _one_k(x, k, phi, use_abs)
+    return float(grid.statistic[0]), int(grid.l_hat[0])
 
 
 def scale_factor(
@@ -161,16 +151,14 @@ def scale_factor(
                 f"log_excess scaling requires a finite positive alpha_hat, got {alpha_hat}"
             )
     if adjust == "iid":
-        return 1.0 if phi == "indicator" else alpha_hat / math.sqrt(2.0)
+        return float(kernel.scale(phi, adjust, alpha_hat))
     if scalings is None:
         raise ValueError("lag1 adjustment requires ScalingEstimates")
-    if phi == "indicator":
-        if scalings.omega_hat < 0.0:
-            raise ValueError(f"omega_hat must be non-negative, got {scalings.omega_hat}")
-        return 1.0 / math.sqrt(1.0 + scalings.omega_hat)
-    if scalings.chi_hat < 0.0:
+    if phi == "indicator" and scalings.omega_hat < 0.0:
+        raise ValueError(f"omega_hat must be non-negative, got {scalings.omega_hat}")
+    if phi == "log_excess" and scalings.chi_hat < 0.0:
         raise ValueError(f"chi_hat must be non-negative, got {scalings.chi_hat}")
-    return alpha_hat / math.sqrt(2.0 + scalings.chi_hat)
+    return float(kernel.scale(phi, adjust, alpha_hat, scalings.omega_hat, scalings.chi_hat))
 
 
 def run_test(x, cfg: TailTestConfig) -> TestOutcome:
@@ -182,47 +170,23 @@ def run_test(x, cfg: TailTestConfig) -> TestOutcome:
     """
     v = nonneg_view(x, cfg.use_abs)
     n = v.size
-    if n < max(4, cfg.k + 2):
-        raise ValueError(f"need n >= max(4, k + 2) = {max(4, cfg.k + 2)}, got n = {n}")
-    return _run_sorted(v, _descending(v), cfg)
-
-
-def _run_sorted(v: np.ndarray, srt: np.ndarray, cfg: TailTestConfig) -> TestOutcome:
-    """Core of :func:`run_test` on a precomputed descending sort (harness fast path)."""
-    n = v.size
     k = cfg.k
-    threshold = srt[k - 1]
-    if cfg.phi == "log_excess" and threshold <= 0.0:
-        raise DegenerateThresholdError(
-            f"k-th largest value is 0 (k={k}); log excesses are undefined"
-        )
-    abs_d = np.abs(_deviations(_phi_values(v, threshold, cfg.phi)))
-    l_hat = int(np.argmax(abs_d)) + 1
-    statistic = float(abs_d[l_hat - 1]) / math.sqrt(k)
-
-    hill_est = _hill_sorted(v, srt, k)
-    alpha_hat = hill_est.alpha_hat
-
+    if n < max(4, k + 2):
+        raise ValueError(f"need n >= max(4, k + 2) = {max(4, k + 2)}, got n = {n}")
+    grid = kernel.tail_grid(v, _descending(v), [k], cfg.phi, cfg.adjust, cfg.level)
+    alpha_hat = float(grid.alpha_hat[0])
+    if grid.degenerate[0]:
+        if np.isnan(alpha_hat):
+            raise _zero_floor(k)
+        raise DegenerateThresholdError("alpha_hat is infinite; the log-excess scaling is undefined")
     omega_hat = chi_hat = None
-    scalings = None
     if cfg.adjust == "lag1":
-        if threshold <= 0.0:
-            raise DegenerateThresholdError(
-                f"k-th largest value is 0 (k={k}); dependence scalings are undefined"
-            )
-        ind = v > threshold
-        omega_hat = 2.0 * int(np.count_nonzero(ind[:-1] & ind[1:])) / k
-        if not np.isfinite(alpha_hat):
-            raise DegenerateThresholdError(
-                "alpha_hat is not finite; the lag-1 log-excess scaling is undefined"
-            )
-        le = _log_excess_values(v, threshold)
-        chi_hat = 2.0 * alpha_hat * float(np.dot(le[:-1], le[1:])) / k
-        scalings = ScalingEstimates(omega_hat=omega_hat, chi_hat=chi_hat)
-
-    scale = scale_factor(cfg.phi, cfg.adjust, alpha_hat=alpha_hat, scalings=scalings)
-    cv = null_dist.critical_value(1.0 - cfg.level)
-    scaled = scale * statistic
+        omega_hat = float(grid.omega_hat[0])
+        if np.isfinite(grid.chi_hat[0]):
+            chi_hat = float(grid.chi_hat[0])
+    statistic = float(grid.statistic[0])
+    scale = float(grid.scale[0])
+    l_hat = int(grid.l_hat[0])
     return TestOutcome(
         n=n,
         k=k,
@@ -234,9 +198,9 @@ def _run_sorted(v: np.ndarray, srt: np.ndarray, cfg: TailTestConfig) -> TestOutc
         chi_hat=chi_hat,
         statistic=statistic,
         scale_factor=scale,
-        scaled_statistic=scaled,
-        critical_value=cv,
-        reject=bool(scaled >= cv),
+        scaled_statistic=scale * statistic,
+        critical_value=null_dist.critical_value(1.0 - cfg.level),
+        reject=bool(grid.reject[0]),
         l_hat=l_hat,
         tau_hat=l_hat / n,
     )

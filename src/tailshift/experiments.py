@@ -20,8 +20,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ar_fit import fit_ar
-from .cusum import TailTestConfig, _run_sorted
+from .ar_fit import DegenerateDataError, fit_ar
+from .cusum import TailTestConfig
+from .kernel import tail_grid
 from .tail_core import _descending, nonneg_view
 from .variates import (
     BurrParams,
@@ -69,6 +70,9 @@ class SimulationSpec:
     def __post_init__(self):
         if self.n < 4:
             raise ValueError(f"n must be at least 4, got {self.n}")
+        # each k, phi, adjust and level is checked as for a single test
+        tests = [TailTestConfig(k=k, phi=self.phi, adjust=self.adjust, level=self.level) for k in self.k_grid]
+        object.__setattr__(self, "k_grid", tuple(test.k for test in tests))
         if not self.k_grid:
             raise ValueError("k_grid must be non-empty")
         for k in self.k_grid:
@@ -76,6 +80,8 @@ class SimulationSpec:
                 raise ValueError(f"every k must satisfy 1 <= k <= n - 2, got k={k}, n={self.n}")
         if self.test not in TEST_KINDS:
             raise ValueError(f"test must be one of {TEST_KINDS}, got {self.test!r}")
+        if self.test == "ar_residual" and self.n < self.ar_order + 2:
+            raise ValueError(f"ar_residual needs n >= ar_order + 2 = {self.ar_order + 2}, got n = {self.n}")
         if self.replications < 1:
             raise ValueError(f"replications must be at least 1, got {self.replications}")
 
@@ -102,11 +108,15 @@ class TableResult:
 def run_table(spec: SimulationSpec) -> TableResult:
     """Run every replication of ``spec`` and aggregate per k.
 
-    A replication whose test raises (degenerate threshold and the like) counts
-    as neither rejection nor acceptance; it is reported in ``error_count`` and
-    the rejection rate keeps ``replications`` as its denominator.
+    Each replication evaluates the whole k grid in one kernel pass. A
+    documented degeneracy (a singular AR fit, or a grid row the kernel flags:
+    too few residuals for k, a zero order-statistic threshold, an infinite
+    ``alpha_hat`` under the log-excess scaling) counts as neither rejection
+    nor acceptance; it is reported in ``error_count`` and the rejection rate
+    keeps ``replications`` as its denominator. Any other error propagates.
     """
-    n_k = len(spec.k_grid)
+    ks = np.asarray(spec.k_grid)
+    n_k = ks.size
     rejects = np.zeros(n_k, dtype=np.int64)
     errors = np.zeros(n_k, dtype=np.int64)
     sq_err = np.zeros(n_k)
@@ -115,31 +125,22 @@ def run_table(spec: SimulationSpec) -> TableResult:
 
     for r in range(spec.replications):
         rng = replication_rng(spec.seed, r)
-        x = simulate(spec.model, spec.n, rng, spec.change)
-        try:
-            series = x if spec.test == "direct" else fit_ar(x, spec.ar_order, spec.ar_method).residuals
-        except ValueError:
-            errors += 1
-            continue
-        v = nonneg_view(series)
-        srt = _descending(v)
-        for j, k in enumerate(spec.k_grid):
-            cfg = TailTestConfig(
-                k=k, phi=spec.phi, adjust=spec.adjust, level=spec.level, use_abs=True
-            )
-            if v.size < max(4, k + 2):
-                errors[j] += 1
-                continue
+        series = simulate(spec.model, spec.n, rng, spec.change)
+        if spec.test == "ar_residual":
             try:
-                outcome = _run_sorted(v, srt, cfg)
-            except ValueError:
-                errors[j] += 1
+                series = fit_ar(series, spec.ar_order, spec.ar_method).residuals
+            except DegenerateDataError:
+                errors += 1
                 continue
-            ok_count[j] += 1
-            rejects[j] += outcome.reject
-            alpha_sum[j] += outcome.alpha_hat
-            if spec.change is not None:
-                sq_err[j] += (outcome.tau_hat - spec.change.tau) ** 2
+        v = nonneg_view(series)
+        grid = tail_grid(v, _descending(v), ks, spec.phi, spec.adjust, spec.level)
+        ok = ~grid.degenerate
+        errors += grid.degenerate
+        ok_count += ok
+        rejects += grid.reject & ok
+        np.add(alpha_sum, grid.alpha_hat, out=alpha_sum, where=ok)
+        if spec.change is not None:
+            np.add(sq_err, (grid.l_hat / v.size - spec.change.tau) ** 2, out=sq_err, where=ok)
 
     rows = []
     for j, k in enumerate(spec.k_grid):

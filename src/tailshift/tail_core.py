@@ -1,5 +1,8 @@
 """Order statistics, the Hill estimator and lag-1 dependence scalings.
 
+The estimators here evaluate a one-element k grid of the tail kernel
+(:mod:`tailshift.kernel`), the single implementation of their formulas.
+
 All operations act on a non-negative view of the data. By default the view
 is the absolute value (so signed series such as regression residuals are
 handled transparently); with ``use_abs=False`` the input must already be
@@ -9,9 +12,12 @@ reduce the excess count below ``k - 1``.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import kernel
 
 __all__ = [
     "DegenerateThresholdError",
@@ -53,10 +59,17 @@ class ScalingEstimates:
 
 
 def nonneg_view(x, use_abs: bool = True) -> np.ndarray:
-    """Non-negative 1-d float view of ``x`` (absolute values by default)."""
+    """Non-negative 1-d float view of ``x`` (absolute values by default).
+
+    NaN and infinite values are rejected with the index of the first one.
+    """
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"expected a 1-d series, got shape {v.shape}")
+    finite = np.isfinite(v)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"series contains a non-finite value at index {i} ({float(v[i])!r})")
     if use_abs:
         return np.abs(v)
     if np.any(v < 0.0):
@@ -64,9 +77,30 @@ def nonneg_view(x, use_abs: bool = True) -> np.ndarray:
     return v
 
 
+def as_k(k) -> int:
+    """``k`` as a Python int; bools and values of a non-integer type are rejected."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+        raise TypeError(f"k must be an integer, got {k!r} of type {type(k).__name__}")
+    return int(k)
+
+
 def _check_k(k: int, n: int) -> None:
+    as_k(k)
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must satisfy 1 <= k <= n - 1 = {n - 1}, got {k}")
+
+
+def _check_max_lag(max_lag: int) -> None:
+    if max_lag < 1:
+        raise ValueError(f"max_lag must be at least 1, got {max_lag}")
+
+
+def _zero_threshold(k: int) -> DegenerateThresholdError:
+    return DegenerateThresholdError(f"k-th largest value is 0 (k={k}); log excesses are undefined")
+
+
+def _zero_floor(k: int) -> DegenerateThresholdError:
+    return DegenerateThresholdError(f"(k+1)-th largest value is 0 (k={k}); the mean log excess is undefined")
 
 
 def _descending(v: np.ndarray) -> np.ndarray:
@@ -83,16 +117,6 @@ def order_statistic(x, j: int, use_abs: bool = True) -> float:
     return float(np.partition(v, n - j)[n - j])
 
 
-def _hill_sorted(v: np.ndarray, srt: np.ndarray, k: int) -> HillEstimate:
-    threshold = srt[k]
-    if threshold <= 0.0:
-        raise DegenerateThresholdError(
-            f"(k+1)-th largest value is 0 (k={k}); the mean log excess is undefined"
-        )
-    mean = float(np.log(v[v > threshold] / threshold).sum()) / k
-    return HillEstimate(hill_mean=mean, alpha_hat=(1.0 / mean if mean > 0.0 else np.inf), k=k)
-
-
 def hill(x, k: int, use_abs: bool = True) -> HillEstimate:
     """Mean positive part of ``log X_i - log X_(k+1)`` over the whole sample, and its reciprocal.
 
@@ -106,7 +130,10 @@ def hill(x, k: int, use_abs: bool = True) -> HillEstimate:
     """
     v = nonneg_view(x, use_abs)
     _check_k(k, v.size)
-    return _hill_sorted(v, _descending(v), k)
+    grid = kernel.tail_grid(v, _descending(v), [k])
+    if np.isnan(grid.hill_mean[0]):
+        raise _zero_floor(k)
+    return HillEstimate(hill_mean=float(grid.hill_mean[0]), alpha_hat=float(grid.alpha_hat[0]), k=k)
 
 
 def excess_indicators(x, k: int, use_abs: bool = True) -> np.ndarray:
@@ -121,23 +148,16 @@ def excess_indicators(x, k: int, use_abs: bool = True) -> np.ndarray:
     return (v > threshold).astype(np.int64)
 
 
+
+
 def log_excesses(x, k: int, use_abs: bool = True) -> np.ndarray:
     """Positive parts of ``log X_i - log X_(k)``; requires a positive threshold."""
     v = nonneg_view(x, use_abs)
     _check_k(k, v.size)
-    threshold = _descending(v)[k - 1]
-    if threshold <= 0.0:
-        raise DegenerateThresholdError(
-            f"k-th largest value is 0 (k={k}); log excesses are undefined"
-        )
-    return _log_excess_values(v, threshold)
-
-
-def _log_excess_values(v: np.ndarray, threshold: float) -> np.ndarray:
-    out = np.zeros(v.size)
-    mask = v > threshold
-    out[mask] = np.log(v[mask] / threshold)
-    return out
+    threshold = _descending(v)[k - 1: k]
+    if threshold[0] <= 0.0:
+        raise _zero_threshold(k)
+    return kernel.excess_sizes(v, threshold)[0]
 
 
 def estimate_omega(x, k: int, use_abs: bool = True, max_lag: int = 1) -> float:
@@ -150,13 +170,13 @@ def estimate_omega(x, k: int, use_abs: bool = True, max_lag: int = 1) -> float:
     """
     v = nonneg_view(x, use_abs)
     _check_k(k, v.size)
-    if max_lag < 1:
-        raise ValueError(f"max_lag must be at least 1, got {max_lag}")
-    threshold = _descending(v)[k - 1]
-    ind = v > threshold
-    total = 0
-    for lag in range(1, max_lag + 1):
-        total += int(np.count_nonzero(ind[:-lag] & ind[lag:]))
+    _check_max_lag(max_lag)
+    grid = kernel.tail_grid(v, _descending(v), [k], adjust="lag1")
+    total = int(grid.pairs[0])
+    if max_lag > 1:
+        ind = v > grid.threshold[0]
+        for lag in range(2, max_lag + 1):
+            total += int(np.count_nonzero(ind[:-lag] & ind[lag:]))
     return 2.0 * total / k
 
 
@@ -173,15 +193,13 @@ def estimate_chi(x, k: int, alpha_hat: float, use_abs: bool = True, max_lag: int
         )
     v = nonneg_view(x, use_abs)
     _check_k(k, v.size)
-    if max_lag < 1:
-        raise ValueError(f"max_lag must be at least 1, got {max_lag}")
-    threshold = _descending(v)[k - 1]
-    if threshold <= 0.0:
-        raise DegenerateThresholdError(
-            f"k-th largest value is 0 (k={k}); log excesses are undefined"
-        )
-    le = _log_excess_values(v, threshold)
-    total = 0.0
-    for lag in range(1, max_lag + 1):
-        total += float(np.dot(le[:-lag], le[lag:]))
+    _check_max_lag(max_lag)
+    grid = kernel.tail_grid(v, _descending(v), [k], adjust="lag1")
+    total = float(grid.cross[0])
+    if np.isnan(total):
+        raise _zero_threshold(k)
+    if max_lag > 1:
+        le = kernel.excess_sizes(v, grid.threshold)[0]
+        for lag in range(2, max_lag + 1):
+            total += float(np.dot(le[:-lag], le[lag:]))
     return 2.0 * alpha_hat * total / k

@@ -54,3 +54,64 @@ def pareto_sample(rng, n, alpha):
     u = rng.random(n)
     u[u == 0.0] = 0.5  # probability-zero guard
     return u ** (-1.0 / alpha)
+
+
+class OracleDegenerate(Exception):
+    """The change test has no outcome for this (series, k)."""
+
+
+def tail_test_oracle(values, k, phi, adjust):
+    """Statistic, maximizer, alpha_hat, scaling and lag-1 inflations of one test, by loops.
+
+    Raises :class:`OracleDegenerate` for the documented degeneracies: fewer
+    than ``max(4, k + 2)`` values, a zero (k+1)-th largest value, and an
+    infinite ``alpha_hat`` under the log-excess scaling. Log excesses are
+    ``log(v / threshold)``, the form the library evaluates, and every sum is
+    a left-to-right running sum, so on series shorter than 8 (where numpy's
+    sum is also a plain left fold) the statistic matches to the bit.
+    ``chi_hat`` is None when ``alpha_hat`` is infinite.
+    """
+    n = len(values)
+    if n < max(4, k + 2):
+        raise OracleDegenerate(f"n = {n} < max(4, k + 2) at k = {k}")
+    srt = sorted(values, reverse=True)
+    threshold, floor = srt[k - 1], srt[k]
+    if floor <= 0.0:
+        raise OracleDegenerate(f"(k+1)-th largest value is 0 at k = {k}")
+    hill_sum = 0.0
+    for v in values:
+        if v > floor:
+            hill_sum += math.log(v / floor)
+    alpha_hat = k / hill_sum if hill_sum > 0.0 else math.inf
+    if phi == "log_excess" and math.isinf(alpha_hat):
+        raise OracleDegenerate(f"alpha_hat is infinite at k = {k}")
+
+    excess = [math.log(v / threshold) if v > threshold else 0.0 for v in values]
+    vals = excess if phi == "log_excess" else [1.0 if v > threshold else 0.0 for v in values]
+    total = 0.0
+    for value in vals:
+        total += value
+    best, best_l, running = -1.0, 0, 0.0
+    for l in range(1, n + 1):
+        running += vals[l - 1]
+        dev = abs(running - l / n * total)
+        if dev > best:
+            best, best_l = dev, l
+    out = {"statistic": best / math.sqrt(k), "l_hat": best_l, "alpha_hat": alpha_hat,
+           "omega_hat": None, "chi_hat": None}
+
+    if adjust == "iid":
+        out["scale"] = 1.0 if phi == "indicator" else alpha_hat / math.sqrt(2.0)
+        return out
+    joint = sum(1 for i in range(n - 1) if values[i] > threshold and values[i + 1] > threshold)
+    cross = 0.0
+    for i in range(n - 1):
+        cross += excess[i] * excess[i + 1]
+    out["omega_hat"] = 2.0 * joint / k
+    if math.isfinite(alpha_hat):
+        out["chi_hat"] = 2.0 * alpha_hat * cross / k
+    if phi == "indicator":
+        out["scale"] = 1.0 / math.sqrt(1.0 + out["omega_hat"])
+    else:
+        out["scale"] = alpha_hat / math.sqrt(2.0 + out["chi_hat"])
+    return out

@@ -265,3 +265,16 @@ def test_console_script_subprocess():
     )
     assert proc.returncode == 0
     assert "decision: no change detected" in proc.stdout
+
+
+def test_read_series_rejects_non_finite_with_line_number(tmp_path):
+    path = write(tmp_path, "# header\n1\n\n2\n# note\nnan\n4\n")
+    with pytest.raises(ValueError, match="line 6: nan is not a finite number"):
+        read_series(path)
+    with pytest.raises(ValueError, match="line 2: inf"):
+        read_series(write(tmp_path, "1\n1e999\n3\n"))
+
+
+def test_non_finite_line_exits_one(tmp_path, capsys):
+    assert main(["test", write(tmp_path, "1\n2\n\n-inf\n4\n5\n"), "--k", "2"]) == 1
+    assert "line 4" in capsys.readouterr().err

@@ -249,3 +249,30 @@ def test_run_test_detects_injected_tail_change():
         x = simulate(model, 2000, seed=replication_rng(606, r), change=change)
         rejections += run_test(x, cfg).reject
     assert rejections >= 190  # >= 95% of 200
+
+
+@settings(max_examples=100)
+@given(
+    st.one_of(
+        st.booleans(),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.text(max_size=3),
+    )
+)
+def test_config_rejects_non_integer_k(k):
+    with pytest.raises(TypeError, match="k must be an integer"):
+        TailTestConfig(k=k)
+
+
+@settings(max_examples=50)
+@given(st.integers(min_value=1, max_value=60_000), st.sampled_from([np.int32, np.int64, np.uint16, int]))
+def test_config_accepts_integer_types_as_int(k, kind):
+    cfg = TailTestConfig(k=kind(k))
+    assert cfg.k == k and type(cfg.k) is int
+
+
+def test_run_test_rejects_non_finite_input():
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        x = [1.0, 2.0, 3.0, bad, 5.0, 6.0]
+        with pytest.raises(ValueError, match="index 3"):
+            run_test(x, TailTestConfig(k=2))

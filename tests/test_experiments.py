@@ -239,3 +239,42 @@ def test_mid_sample_change_is_easiest_to_locate():
     ))
     for cell_mid, cell_early in zip(mid.rows, early.rows):
         assert cell_mid.mse_tau <= cell_early.mse_tau
+
+
+AR_SPEC = SimulationSpec(
+    model=ModelSpec("ar1", T3, coef=0.5), n=60, k_grid=(5, 10), test="ar_residual",
+    replications=3, seed=8,
+)
+
+
+def test_only_documented_degeneracies_are_counted(monkeypatch):
+    import tailshift.experiments as experiments
+    from tailshift.ar_fit import DegenerateDataError
+
+    def singular(*args):
+        raise DegenerateDataError("singular design")
+
+    monkeypatch.setattr(experiments, "fit_ar", singular)
+    assert [cell.error_count for cell in run_table(AR_SPEC).rows] == [3, 3]
+
+    def broken(*args):
+        raise ValueError("not a degeneracy")
+
+    monkeypatch.setattr(experiments, "fit_ar", broken)
+    with pytest.raises(ValueError, match="not a degeneracy"):
+        run_table(AR_SPEC)
+    results = sweep([SMALL, AR_SPEC])
+    assert results[0].error is None
+    assert results[1].error == "not a degeneracy" and results[1].rows == ()
+
+
+def test_spec_validates_residual_length_and_integer_k():
+    model = ModelSpec("ar1", T3, coef=0.5)
+    with pytest.raises(ValueError, match="ar_order"):
+        SimulationSpec(model=model, n=5, k_grid=(1,), test="ar_residual", ar_order=4)
+    SimulationSpec(model=model, n=6, k_grid=(1,), test="ar_residual", ar_order=4)
+    for k in (10.5, 10.0, True):
+        with pytest.raises(TypeError):
+            SimulationSpec(model=model, n=100, k_grid=(5, k))
+    spec = SimulationSpec(model=model, n=100, k_grid=[np.int64(5), np.int32(10)])
+    assert spec.k_grid == (5, 10) and all(type(k) is int for k in spec.k_grid)

@@ -1,0 +1,93 @@
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import OracleDegenerate, tail_test_oracle
+from tailshift.cusum import TailTestConfig, run_test
+from tailshift.kernel import tail_grid
+from tailshift.tail_core import DegenerateThresholdError, estimate_omega, hill
+from tailshift.variates import ModelSpec, TDistParams, simulate
+
+PAIRS = [(phi, adjust) for phi in ("indicator", "log_excess") for adjust in ("iid", "lag1")]
+
+
+def _close(got, want):
+    if math.isinf(want):
+        return got == want
+    return got == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.sampled_from([0.0, 1.0, 2.0, 5.0]), min_size=2, max_size=7),
+    st.data(),
+)
+def test_grid_matches_oracle_at_every_k(xs, data):
+    n = len(xs)
+    ks = data.draw(st.lists(st.integers(min_value=1, max_value=n + 1), min_size=1, max_size=6))
+    v = np.asarray(xs)
+    srt = np.sort(v)[::-1]
+    for phi, adjust in PAIRS:
+        grid = tail_grid(v, srt, ks, phi, adjust)
+        for j, k in enumerate(ks):
+            try:
+                want = tail_test_oracle(xs, k, phi, adjust)
+            except OracleDegenerate:
+                assert grid.degenerate[j], (phi, adjust, k)
+                continue
+            assert not grid.degenerate[j], (phi, adjust, k)
+            assert grid.statistic[j] == want["statistic"]
+            assert grid.l_hat[j] == want["l_hat"]
+            assert _close(grid.alpha_hat[j], want["alpha_hat"])
+            assert _close(grid.scale[j], want["scale"])
+            if adjust == "lag1":
+                assert _close(grid.omega_hat[j], want["omega_hat"])
+                if want["chi_hat"] is None:
+                    assert np.isnan(grid.chi_hat[j])
+                else:
+                    assert _close(grid.chi_hat[j], want["chi_hat"])
+
+
+def test_grid_rows_equal_one_element_grids():
+    x = np.abs(simulate(ModelSpec("ma1", TDistParams(2.0), coef=0.5), 1000, seed=5))
+    srt = np.sort(x)[::-1]
+    ks = list(range(10, 101, 10))
+    for phi, adjust in PAIRS:
+        grid = tail_grid(x, srt, ks, phi, adjust)
+        for j, k in enumerate(ks):
+            one = tail_grid(x, srt, [k], phi, adjust)
+            assert np.array_equal(grid.deviations[j], one.deviations[0])
+            assert (grid.statistic[j], grid.l_hat[j], grid.reject[j]) == (
+                one.statistic[0], one.l_hat[0], one.reject[0])
+            assert grid.alpha_hat[j] == pytest.approx(one.alpha_hat[0], rel=1e-14)
+
+
+def test_fully_tied_top_keeps_alpha_infinite():
+    x = [5.0, 5.0, 1.0, 5.0, 2.0, 3.0, 1.5, 0.5]
+    assert math.isinf(hill(x, 2).alpha_hat)
+    grid = tail_grid(np.asarray(x), np.sort(x)[::-1], [1, 2, 3], "log_excess")
+    assert math.isinf(grid.alpha_hat[0]) and math.isinf(grid.alpha_hat[1])
+    assert np.isfinite(grid.alpha_hat[2])
+    assert grid.degenerate.tolist() == [True, True, False]
+
+
+def test_lag1_indicator_with_infinite_alpha_reports_no_chi():
+    # the top k + 1 = 3 values tie, so every log excess over X_(k+1) vanishes
+    x = [5.0, 5.0, 1.0, 5.0, 2.0, 3.0, 1.5, 0.5]
+    out = run_test(x, TailTestConfig(k=2, phi="indicator", adjust="lag1"))
+    assert math.isinf(out.alpha_hat)
+    assert out.chi_hat is None
+    assert out.omega_hat == estimate_omega(x, 2)
+    assert out.scale_factor == pytest.approx(1.0 / math.sqrt(1.0 + out.omega_hat))
+    with pytest.raises(DegenerateThresholdError):
+        run_test(x, TailTestConfig(k=2, phi="log_excess", adjust="lag1"))
+
+
+def test_zero_threshold_rows_are_degenerate_not_raised():
+    v = np.asarray([4.0, 0.0, 3.0, 0.0, 0.0, 2.0, 0.0, 0.0])
+    grid = tail_grid(v, np.sort(v)[::-1], [1, 2, 3, 4], "log_excess", "lag1")
+    assert grid.degenerate.tolist() == [False, False, True, True]
+    assert np.isnan(grid.cross[3]) and np.isnan(grid.alpha_hat[3])

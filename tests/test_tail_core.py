@@ -194,3 +194,18 @@ def test_omega_chi_lag_extension():
     assert estimate_chi(x, 3, 1.0, max_lag=2) > estimate_chi(x, 3, 1.0)
     with pytest.raises(ValueError):
         estimate_omega(x, 3, max_lag=0)
+
+
+def test_nonneg_view_rejects_non_finite_values():
+    with pytest.raises(ValueError, match="index 2 \\(nan\\)"):
+        nonneg_view([1.0, 2.0, float("nan"), float("inf")])
+    with pytest.raises(ValueError, match="index 0 \\(-inf\\)"):
+        nonneg_view([-float("inf"), 1.0], use_abs=False)
+    with pytest.raises(ValueError, match="non-finite"):
+        hill([1.0, float("inf"), 2.0, 3.0], 1)
+
+
+def test_non_integer_k_is_a_type_error():
+    for k in (2.0, 2.5, True, "2"):
+        with pytest.raises(TypeError):
+            hill([5.0, 1.0, 2.0, 3.0], k)

@@ -1,55 +1,15 @@
-"""CUSUM tests for changes in the tail index of heavy-tailed time series."""
+"""CUSUM tests for changes in the tail index of heavy-tailed time series.
+
+The names below are the documented entry points; helpers such as the samplers,
+the stream splitter or the per-k primitives are imported from their modules.
+"""
 
 from .ar_fit import ArFit, DegenerateDataError, fit_ar, residual_cusum
-from .cusum import (
-    TailTestConfig,
-    TestOutcome,
-    cusum_statistic,
-    deviation_process,
-    run_test,
-    scale_factor,
-)
-from .experiments import (
-    KCell,
-    SimulationSpec,
-    TableResult,
-    run_table,
-    sweep,
-    table_specs,
-)
-from .null_dist import (
-    CriticalValueTable,
-    analytic_critical_values,
-    analytic_quantile,
-    kolmogorov_cdf,
-    mc_critical_values,
-    simulate_L,
-)
-from .tail_core import (
-    DegenerateThresholdError,
-    HillEstimate,
-    ScalingEstimates,
-    estimate_chi,
-    estimate_omega,
-    excess_indicators,
-    hill,
-    log_excesses,
-    nonneg_view,
-    order_statistic,
-)
-from .variates import (
-    BurrParams,
-    ChangeSpec,
-    ModelSpec,
-    TDistParams,
-    burr_cdf,
-    burr_quantile,
-    burr_sample,
-    burr_sf,
-    replication_rng,
-    simulate,
-    t_sample,
-)
+from .cusum import TailTestConfig, TestOutcome, cusum_statistic, deviation_process, run_test
+from .experiments import SimulationSpec, run_table, sweep, table_specs
+from .null_dist import CriticalValueTable, analytic_critical_values, mc_critical_values
+from .tail_core import DegenerateThresholdError, estimate_chi, estimate_omega, hill
+from .variates import BurrParams, ChangeSpec, ModelSpec, TDistParams, simulate
 
 __version__ = "0.1.0"
 
@@ -60,41 +20,23 @@ __all__ = [
     "CriticalValueTable",
     "DegenerateDataError",
     "DegenerateThresholdError",
-    "HillEstimate",
-    "KCell",
     "ModelSpec",
-    "ScalingEstimates",
     "SimulationSpec",
     "TDistParams",
-    "TableResult",
     "TailTestConfig",
     "TestOutcome",
     "analytic_critical_values",
-    "analytic_quantile",
-    "burr_cdf",
-    "burr_quantile",
-    "burr_sample",
-    "burr_sf",
     "cusum_statistic",
     "deviation_process",
     "estimate_chi",
     "estimate_omega",
-    "excess_indicators",
     "fit_ar",
     "hill",
-    "kolmogorov_cdf",
-    "log_excesses",
     "mc_critical_values",
-    "nonneg_view",
-    "order_statistic",
-    "replication_rng",
     "residual_cusum",
     "run_table",
     "run_test",
-    "scale_factor",
     "simulate",
-    "simulate_L",
     "sweep",
-    "t_sample",
     "table_specs",
 ]

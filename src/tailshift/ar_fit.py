@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cusum import TailTestConfig, TestOutcome, run_test
+from .tail_core import as_int, finite_series
 
 __all__ = [
     "ArFit",
@@ -90,13 +91,29 @@ def _fit_yule_walker(x: np.ndarray, p: int) -> np.ndarray:
     return coef
 
 
+def check_fit_args(n: int, order, method: str, prefix: str = "") -> int:
+    """Check an AR(``order``) fit by ``method`` on ``n`` values; return ``order`` as an int.
+
+    ``prefix`` goes in front of the argument names in the error messages.
+    """
+    if method not in FIT_METHODS:
+        raise ValueError(f"{prefix}method must be one of {FIT_METHODS}, got {method!r}")
+    order = as_int(order, prefix + "order")
+    if order < 1:
+        raise ValueError(f"{prefix}order must be at least 1, got {order}")
+    if n < order + 2:
+        raise ValueError(f"need n >= {prefix}order + 2 = {order + 2}, got n = {n}")
+    return order
+
+
 def fit_ar(x, order: int, method: str = "ols") -> ArFit:
     """Fit an intercept-free AR(``order``) model and attach the residuals.
 
     Parameters
     ----------
     x : array_like
-        Observed series, length at least ``order + 2``.
+        Observed finite series, length at least ``order + 2``. NaN and
+        infinite values are rejected with the index of the first one.
     order : int
         Autoregressive order ``p >= 1``.
     method : str
@@ -105,15 +122,8 @@ def fit_ar(x, order: int, method: str = "ols") -> ArFit:
         Levinson-Durbin (for p = 1 this is the lag-1/lag-0 moment ratio,
         always inside [-1, 1]).
     """
-    if method not in FIT_METHODS:
-        raise ValueError(f"method must be one of {FIT_METHODS}, got {method!r}")
-    v = np.asarray(x, dtype=float)
-    if v.ndim != 1:
-        raise ValueError(f"expected a 1-d series, got shape {v.shape}")
-    if order < 1:
-        raise ValueError(f"order must be at least 1, got {order}")
-    if v.size < order + 2:
-        raise ValueError(f"need n >= order + 2 = {order + 2}, got n = {v.size}")
+    v = finite_series(x)
+    order = check_fit_args(v.size, order, method)
     coef = _fit_ols(v, order) if method == "ols" else _fit_yule_walker(v, order)
     residuals = v[order:] - _lag_matrix(v, order) @ coef
     return ArFit(order=order, coefficients=coef, residuals=residuals, method=method)

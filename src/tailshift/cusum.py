@@ -15,12 +15,11 @@ import numpy as np
 from . import kernel, null_dist
 from .tail_core import (
     DegenerateThresholdError,
-    ScalingEstimates,
     _check_k,
     _descending,
     _zero_floor,
     _zero_threshold,
-    as_k,
+    as_int,
     nonneg_view,
 )
 
@@ -32,7 +31,6 @@ __all__ = [
     "cusum_statistic",
     "deviation_process",
     "run_test",
-    "scale_factor",
 ]
 
 PHI_KINDS = ("indicator", "log_excess")
@@ -42,11 +40,6 @@ ADJUST_MODES = ("iid", "lag1")
 def _check_phi(phi: str) -> None:
     if phi not in PHI_KINDS:
         raise ValueError(f"phi must be one of {PHI_KINDS}, got {phi!r}")
-
-
-def _check_adjust(adjust: str) -> None:
-    if adjust not in ADJUST_MODES:
-        raise ValueError(f"adjust must be one of {ADJUST_MODES}, got {adjust!r}")
 
 
 @dataclass(frozen=True)
@@ -67,11 +60,12 @@ class TailTestConfig:
     use_abs: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "k", as_k(self.k))
+        object.__setattr__(self, "k", as_int(self.k, "k"))
         if self.k < 1:
             raise ValueError(f"k must be positive, got {self.k}")
         _check_phi(self.phi)
-        _check_adjust(self.adjust)
+        if self.adjust not in ADJUST_MODES:
+            raise ValueError(f"adjust must be one of {ADJUST_MODES}, got {self.adjust!r}")
         if not 0.0 < self.level < 1.0:
             raise ValueError(f"level must lie in (0, 1), got {self.level}")
 
@@ -131,36 +125,6 @@ def cusum_statistic(x, k: int, phi: str = "indicator", use_abs: bool = True) -> 
     return float(grid.statistic[0]), int(grid.l_hat[0])
 
 
-def scale_factor(
-    phi: str,
-    adjust: str,
-    alpha_hat: float | None = None,
-    scalings: ScalingEstimates | None = None,
-) -> float:
-    """Dependence/shape scaling applied to the raw statistic before comparison.
-
-    indicator:  1 under iid, ``1 / sqrt(1 + omega_hat)`` under lag1.
-    log_excess: ``alpha_hat / sqrt(2)`` under iid,
-                ``alpha_hat / sqrt(2 + chi_hat)`` under lag1.
-    """
-    _check_phi(phi)
-    _check_adjust(adjust)
-    if phi == "log_excess":
-        if alpha_hat is None or not np.isfinite(alpha_hat) or alpha_hat <= 0.0:
-            raise ValueError(
-                f"log_excess scaling requires a finite positive alpha_hat, got {alpha_hat}"
-            )
-    if adjust == "iid":
-        return float(kernel.scale(phi, adjust, alpha_hat))
-    if scalings is None:
-        raise ValueError("lag1 adjustment requires ScalingEstimates")
-    if phi == "indicator" and scalings.omega_hat < 0.0:
-        raise ValueError(f"omega_hat must be non-negative, got {scalings.omega_hat}")
-    if phi == "log_excess" and scalings.chi_hat < 0.0:
-        raise ValueError(f"chi_hat must be non-negative, got {scalings.chi_hat}")
-    return float(kernel.scale(phi, adjust, alpha_hat, scalings.omega_hat, scalings.chi_hat))
-
-
 def run_test(x, cfg: TailTestConfig) -> TestOutcome:
     """Run the full change test on a series and fill every outcome field.
 
@@ -199,7 +163,7 @@ def run_test(x, cfg: TailTestConfig) -> TestOutcome:
         statistic=statistic,
         scale_factor=scale,
         scaled_statistic=scale * statistic,
-        critical_value=null_dist.critical_value(1.0 - cfg.level),
+        critical_value=null_dist.analytic_quantile(1.0 - cfg.level),
         reject=bool(grid.reject[0]),
         l_hat=l_hat,
         tau_hat=l_hat / n,

@@ -16,11 +16,11 @@ change, and the localization MSE.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .ar_fit import DegenerateDataError, fit_ar
+from .ar_fit import DegenerateDataError, check_fit_args, fit_ar
 from .cusum import TailTestConfig
 from .kernel import tail_grid
 from .tail_core import _descending, nonneg_view
@@ -80,8 +80,9 @@ class SimulationSpec:
                 raise ValueError(f"every k must satisfy 1 <= k <= n - 2, got k={k}, n={self.n}")
         if self.test not in TEST_KINDS:
             raise ValueError(f"test must be one of {TEST_KINDS}, got {self.test!r}")
-        if self.test == "ar_residual" and self.n < self.ar_order + 2:
-            raise ValueError(f"ar_residual needs n >= ar_order + 2 = {self.ar_order + 2}, got n = {self.n}")
+        if self.test == "ar_residual":
+            # the AR order and method are checked as for a single fit
+            object.__setattr__(self, "ar_order", check_fit_args(self.n, self.ar_order, self.ar_method, "ar_"))
         if self.replications < 1:
             raise ValueError(f"replications must be at least 1, got {self.replications}")
 
@@ -247,19 +248,8 @@ def results_to_report(results) -> str:
     """Structured JSON report: full spec echo plus per-cell aggregates."""
     payload = []
     for result in results:
-        entry = {"spec": _spec_dict(result.spec), "error": result.error, "rows": []}
-        if result.error is None:
-            entry["rows"] = [
-                {
-                    "k": cell.k,
-                    "reject_count": cell.reject_count,
-                    "rejection_rate": cell.rejection_rate,
-                    "mse_tau": cell.mse_tau,
-                    "mean_alpha_hat": cell.mean_alpha_hat,
-                    "error_count": cell.error_count,
-                }
-                for cell in result.rows
-            ]
+        rows = [asdict(cell) for cell in result.rows]  # empty for a failed spec
+        entry = {"spec": _spec_dict(result.spec), "error": result.error, "rows": rows}
         payload.append(entry)
     return json.dumps({"results": payload}, indent=2) + "\n"
 
@@ -333,15 +323,15 @@ def table_specs(
                     test="ar_residual", ar_order=1, ar_method="ols",
                     label=f"size-ar1-resid(coef={coef:g})",
                 ))
-        elif table_id == 8:
+        elif table_id in (8, 10):  # table 10 reads the MSE of the located change off table 8's design
             for tau in _POWER_TAUS:
                 add(SimulationSpec(
                     model=ModelSpec("ma1", TDistParams(3.0), coef=0.5),
                     n=n, k_grid=k_grid, phi="indicator", adjust="lag1",
                     change=replace(_CHANGE_3_TO_1, tau=tau),
-                    label=f"power-ma1(tau={tau:g})",
+                    label=f"{'power' if table_id == 8 else 'mse'}-ma1(tau={tau:g})",
                 ))
-        elif table_id == 9:
+        else:  # table 9
             for tau in _POWER_TAUS:
                 add(SimulationSpec(
                     model=ModelSpec("ar1", TDistParams(3.0), coef=0.5),
@@ -349,13 +339,5 @@ def table_specs(
                     test="ar_residual", ar_order=1, ar_method="ols",
                     change=replace(_CHANGE_3_TO_1, tau=tau),
                     label=f"power-ar1-resid(tau={tau:g})",
-                ))
-        else:  # table 10: MSE of the located change for the MA design
-            for tau in _POWER_TAUS:
-                add(SimulationSpec(
-                    model=ModelSpec("ma1", TDistParams(3.0), coef=0.5),
-                    n=n, k_grid=k_grid, phi="indicator", adjust="lag1",
-                    change=replace(_CHANGE_3_TO_1, tau=tau),
-                    label=f"mse-ma1(tau={tau:g})",
                 ))
     return specs

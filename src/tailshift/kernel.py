@@ -148,5 +148,5 @@ def tail_grid(v: np.ndarray, srt: np.ndarray, ks, phi: str | None = None,
     statistic = abs_d.max(axis=1) / np.sqrt(kk)
     del abs_d
     scaling = scale(phi, adjust, finite_alpha, out.get("omega_hat"), out.get("chi_hat"))
-    reject = scaling * statistic >= null_dist.critical_value(1.0 - level)
+    reject = scaling * statistic >= null_dist.analytic_quantile(1.0 - level)
     return TailGrid(**out, deviations=d, statistic=statistic, l_hat=l_idx + 1, scale=scaling, reject=reject)

@@ -1,19 +1,18 @@
 """Reference distribution of the scaled statistics: sup of a Brownian bridge.
 
-The scaled CUSUM statistics converge to ``sup |B(t) - t B(1)|`` whose CDF is
-the Kolmogorov series ``K(x) = 1 - 2 * sum_j (-1)**(j+1) exp(-2 j^2 x^2)``.
-Critical values come either from this series (default: exact, seed-free) or
-from the Monte Carlo recipe that discretizes the bridge as a standard normal
-partial-sum path.
+The scaled CUSUM statistics converge to ``sup |B(t) - t B(1)|``, whose law is
+the Kolmogorov distribution. Critical values come either from its inverse,
+``scipy.special.kolmogi`` (default: exact, seed-free), or from the Monte Carlo
+recipe that discretizes the bridge as a standard normal partial-sum path.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
+from scipy.special import kolmogi
 
 from .variates import as_generator, replication_rng
 
@@ -21,16 +20,9 @@ __all__ = [
     "CriticalValueTable",
     "analytic_critical_values",
     "analytic_quantile",
-    "critical_value",
-    "kolmogorov_cdf",
     "mc_critical_values",
     "simulate_L",
 ]
-
-_SERIES_TOL = 1e-16
-_BISECT_LO = 0.05
-_BISECT_HI = 5.0
-_BISECT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -49,59 +41,11 @@ class CriticalValueTable:
         return "\n".join(lines) + "\n"
 
 
-def kolmogorov_cdf(x: float) -> float:
-    """CDF of sup|Brownian bridge|, summed until the next term drops below 1e-16.
-
-    Uses the alternating series ``1 - 2 sum_j (-1)**(j+1) exp(-2 j^2 x^2)``
-    for ``x >= 1`` and its theta-dual ``(sqrt(2 pi) / x) sum_j
-    exp(-(2j-1)^2 pi^2 / (8 x^2))`` below, where the alternating form loses
-    all precision to cancellation.
-    """
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        acc = 0.0
-        j = 1
-        while True:
-            term = math.exp(-2.0 * j * j * x * x)
-            if term < _SERIES_TOL:
-                break
-            acc += term if j % 2 == 1 else -term
-            j += 1
-        return max(0.0, 1.0 - 2.0 * acc)
-    acc = 0.0
-    j = 1
-    while True:
-        term = math.exp(-((2 * j - 1) ** 2) * math.pi**2 / (8.0 * x * x))
-        if term < _SERIES_TOL * max(acc, 1.0):
-            break
-        acc += term
-        j += 1
-    return min(1.0, math.sqrt(2.0 * math.pi) / x * acc)
-
-
-@lru_cache(maxsize=None)
 def analytic_quantile(level: float) -> float:
-    """Quantile of sup|Brownian bridge| by bisection of the series CDF.
-
-    Cached per level; the cache is filled once and only read afterwards, so
-    concurrent lookups are safe.
-    """
+    """Quantile of sup|Brownian bridge| at ``level``, the inverse Kolmogorov CDF."""
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {level}")
-    lo, hi = _BISECT_LO, _BISECT_HI
-    while hi - lo > _BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if kolmogorov_cdf(mid) < level:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def critical_value(level: float) -> float:
-    """Analytic critical value at quantile ``level`` (e.g. 0.95 for a 5% test)."""
-    return analytic_quantile(level)
+    return float(kolmogi(1.0 - level))
 
 
 def simulate_L(n_points: int, seed=None) -> float:

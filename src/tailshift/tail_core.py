@@ -22,7 +22,6 @@ from . import kernel
 __all__ = [
     "DegenerateThresholdError",
     "HillEstimate",
-    "ScalingEstimates",
     "estimate_chi",
     "estimate_omega",
     "excess_indicators",
@@ -50,19 +49,8 @@ class HillEstimate:
     k: int
 
 
-@dataclass(frozen=True)
-class ScalingEstimates:
-    """Lag-1 dependence inflation estimates for the two statistic kinds."""
-
-    omega_hat: float
-    chi_hat: float
-
-
-def nonneg_view(x, use_abs: bool = True) -> np.ndarray:
-    """Non-negative 1-d float view of ``x`` (absolute values by default).
-
-    NaN and infinite values are rejected with the index of the first one.
-    """
+def finite_series(x) -> np.ndarray:
+    """``x`` as a 1-d float array; NaN and infinite values are rejected with the index of the first one."""
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"expected a 1-d series, got shape {v.shape}")
@@ -70,6 +58,12 @@ def nonneg_view(x, use_abs: bool = True) -> np.ndarray:
     if not finite.all():
         i = int(np.argmin(finite))
         raise ValueError(f"series contains a non-finite value at index {i} ({float(v[i])!r})")
+    return v
+
+
+def nonneg_view(x, use_abs: bool = True) -> np.ndarray:
+    """Non-negative 1-d float view of the finite series ``x`` (absolute values by default)."""
+    v = finite_series(x)
     if use_abs:
         return np.abs(v)
     if np.any(v < 0.0):
@@ -77,22 +71,17 @@ def nonneg_view(x, use_abs: bool = True) -> np.ndarray:
     return v
 
 
-def as_k(k) -> int:
-    """``k`` as a Python int; bools and values of a non-integer type are rejected."""
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
-        raise TypeError(f"k must be an integer, got {k!r} of type {type(k).__name__}")
-    return int(k)
+def as_int(value, name: str) -> int:
+    """``value`` as a Python int; bools and values of a non-integer type are rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r} of type {type(value).__name__}")
+    return int(value)
 
 
 def _check_k(k: int, n: int) -> None:
-    as_k(k)
+    as_int(k, "k")
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must satisfy 1 <= k <= n - 1 = {n - 1}, got {k}")
-
-
-def _check_max_lag(max_lag: int) -> None:
-    if max_lag < 1:
-        raise ValueError(f"max_lag must be at least 1, got {max_lag}")
 
 
 def _zero_threshold(k: int) -> DegenerateThresholdError:
@@ -148,8 +137,6 @@ def excess_indicators(x, k: int, use_abs: bool = True) -> np.ndarray:
     return (v > threshold).astype(np.int64)
 
 
-
-
 def log_excesses(x, k: int, use_abs: bool = True) -> np.ndarray:
     """Positive parts of ``log X_i - log X_(k)``; requires a positive threshold."""
     v = nonneg_view(x, use_abs)
@@ -160,32 +147,23 @@ def log_excesses(x, k: int, use_abs: bool = True) -> np.ndarray:
     return kernel.excess_sizes(v, threshold)[0]
 
 
-def estimate_omega(x, k: int, use_abs: bool = True, max_lag: int = 1) -> float:
+def estimate_omega(x, k: int, use_abs: bool = True) -> float:
     """Joint-exceedance estimate of the variance inflation of the indicator statistic.
 
-    Computes ``(2 / k) * sum_i I(X_i > X_(k), X_{i+h} > X_(k))`` summed over
-    lags ``h = 1..max_lag``. The published estimator is lag-1 only, which is
-    adequate for 2-dependent series such as MA(1); deeper lags are an
-    extension for longer dependence.
+    Computes ``(2 / k) * sum_i I(X_i > X_(k), X_{i+1} > X_(k))``, the lag-1
+    estimator, adequate for 2-dependent series such as MA(1).
     """
     v = nonneg_view(x, use_abs)
     _check_k(k, v.size)
-    _check_max_lag(max_lag)
     grid = kernel.tail_grid(v, _descending(v), [k], adjust="lag1")
-    total = int(grid.pairs[0])
-    if max_lag > 1:
-        ind = v > grid.threshold[0]
-        for lag in range(2, max_lag + 1):
-            total += int(np.count_nonzero(ind[:-lag] & ind[lag:]))
-    return 2.0 * total / k
+    return 2.0 * int(grid.pairs[0]) / k
 
 
-def estimate_chi(x, k: int, alpha_hat: float, use_abs: bool = True, max_lag: int = 1) -> float:
+def estimate_chi(x, k: int, alpha_hat: float, use_abs: bool = True) -> float:
     """Joint log-excess estimate of the variance inflation of the log-excess statistic.
 
-    Computes ``(2 * alpha_hat / k) * sum_i (log X_i - log X_(k))_+
-    (log X_{i+h} - log X_(k))_+`` summed over lags ``h = 1..max_lag``
-    (lag-1 is the published form; see :func:`estimate_omega`).
+    Computes the lag-1 estimator ``(2 * alpha_hat / k) * sum_i
+    (log X_i - log X_(k))_+ (log X_{i+1} - log X_(k))_+``.
     """
     if not np.isfinite(alpha_hat) or alpha_hat <= 0.0:
         raise DegenerateThresholdError(
@@ -193,13 +171,8 @@ def estimate_chi(x, k: int, alpha_hat: float, use_abs: bool = True, max_lag: int
         )
     v = nonneg_view(x, use_abs)
     _check_k(k, v.size)
-    _check_max_lag(max_lag)
     grid = kernel.tail_grid(v, _descending(v), [k], adjust="lag1")
     total = float(grid.cross[0])
     if np.isnan(total):
         raise _zero_threshold(k)
-    if max_lag > 1:
-        le = kernel.excess_sizes(v, grid.threshold)[0]
-        for lag in range(2, max_lag + 1):
-            total += float(np.dot(le[:-lag], le[lag:]))
     return 2.0 * alpha_hat * total / k

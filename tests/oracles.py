@@ -49,6 +49,49 @@ def cusum_oracle(values, k, phi):
     return best / math.sqrt(k), best_l, devs
 
 
+def kolmogorov_cdf(x):
+    """CDF of sup|Brownian bridge|, summed until the next term drops below 1e-16.
+
+    Uses the alternating series ``1 - 2 sum_j (-1)**(j+1) exp(-2 j^2 x^2)``
+    for ``x >= 1`` and its theta-dual ``(sqrt(2 pi) / x) sum_j
+    exp(-(2j-1)^2 pi^2 / (8 x^2))`` below, where the alternating form loses
+    all precision to cancellation.
+    """
+    if x <= 0.0:
+        return 0.0
+    if x >= 1.0:
+        acc = 0.0
+        j = 1
+        while True:
+            term = math.exp(-2.0 * j * j * x * x)
+            if term < 1e-16:
+                break
+            acc += term if j % 2 == 1 else -term
+            j += 1
+        return max(0.0, 1.0 - 2.0 * acc)
+    acc = 0.0
+    j = 1
+    while True:
+        term = math.exp(-((2 * j - 1) ** 2) * math.pi**2 / (8.0 * x * x))
+        if term < 1e-16 * max(acc, 1.0):
+            break
+        acc += term
+        j += 1
+    return min(1.0, math.sqrt(2.0 * math.pi) / x * acc)
+
+
+def kolmogorov_quantile(level):
+    """Quantile of sup|Brownian bridge| by bisection of :func:`kolmogorov_cdf` on [0.05, 5] to 1e-9."""
+    lo, hi = 0.05, 5.0
+    while hi - lo > 1e-9:
+        mid = 0.5 * (lo + hi)
+        if kolmogorov_cdf(mid) < level:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def pareto_sample(rng, n, alpha):
     """Exact Pareto draws with survival x**(-alpha), x >= 1, by inverse transform."""
     u = rng.random(n)

@@ -8,9 +8,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import kstwobign
 
-from oracles import cusum_oracle, hill_oracle, pareto_sample
+from oracles import cusum_oracle, hill_oracle, kolmogorov_quantile, pareto_sample
 from tailshift.ar_fit import fit_ar
 from tailshift.cusum import TailTestConfig, cusum_statistic, run_test
 from tailshift.experiments import SimulationSpec, run_table, table_specs
@@ -41,7 +40,7 @@ def report(number, passed, detail):
 def test_criterion_1_critical_values(mc_cv_table):
     analytic = [analytic_quantile(lv) for lv in (0.90, 0.95, 0.99)]
     targets = (1.22387, 1.35810, 1.62762)
-    oracle = [kstwobign.ppf(lv) for lv in (0.90, 0.95, 0.99)]
+    oracle = [kolmogorov_quantile(lv) for lv in (0.90, 0.95, 0.99)]
     ok_analytic = all(abs(a - t) <= 1e-3 for a, t in zip(analytic, targets))
     ok_oracle = all(abs(a - o) <= 1e-6 for a, o in zip(analytic, oracle))
     mc_refs = (1.22, 1.35, 1.60)
@@ -49,8 +48,8 @@ def test_criterion_1_critical_values(mc_cv_table):
     report(
         1,
         ok_analytic and ok_oracle and ok_mc,
-        f"analytic {[round(a, 5) for a in analytic]} vs {targets} (series+bisection, "
-        f"cross-checked against an independent quantile oracle); "
+        f"analytic {[round(a, 5) for a in analytic]} vs {targets} (inverse Kolmogorov CDF, "
+        f"cross-checked against the series+bisection oracle); "
         f"mc {[round(v, 4) for v in mc_cv_table.values]} vs {mc_refs} +/- 0.04",
     )
 

@@ -44,6 +44,23 @@ def test_fit_validation():
         fit_ar(x, 1, method="ridge")
 
 
+def test_non_finite_input_and_bool_order_are_rejected():
+    # named by their input index, and never taken for a degenerate design
+    x = exact_halving_series()
+    x[4] = np.nan
+    for method in ("ols", "yule_walker"):
+        with pytest.raises(ValueError, match="index 4 \\(nan\\)") as exc:
+            fit_ar(x, 1, method)
+        assert not isinstance(exc.value, DegenerateDataError)
+    x[4] = np.inf
+    with pytest.raises(ValueError, match="index 4 \\(inf\\)"):
+        residual_cusum(x, order=1, k=3)
+    for order in (True, 1.0):
+        with pytest.raises(TypeError, match="order must be an integer"):
+            fit_ar(exact_halving_series(), order)
+    assert fit_ar(exact_halving_series(), np.int64(1)).order == 1
+
+
 def test_degenerate_designs_raise():
     zeros = np.zeros(30)
     with pytest.raises(DegenerateDataError):

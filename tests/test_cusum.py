@@ -6,14 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import cusum_oracle
-from tailshift.cusum import (
-    TailTestConfig,
-    cusum_statistic,
-    deviation_process,
-    run_test,
-    scale_factor,
-)
-from tailshift.tail_core import DegenerateThresholdError, ScalingEstimates
+from tailshift.cusum import TailTestConfig, cusum_statistic, deviation_process, run_test
+from tailshift.kernel import scale
+from tailshift.tail_core import DegenerateThresholdError
 from tailshift.variates import BurrParams, ChangeSpec, ModelSpec, replication_rng, simulate
 
 HAND = [5.0, 1.0, 2.0, 3.0]
@@ -134,31 +129,16 @@ def test_statistic_matches_brute_force_spot(xs, data):
 # ---------------------------------------------------------------------------
 
 def test_scale_factor_values():
-    assert scale_factor("indicator", "iid") == 1.0
-    assert scale_factor("log_excess", "iid", alpha_hat=2.0) == pytest.approx(math.sqrt(2.0))
-    sc = ScalingEstimates(omega_hat=2.0 / 3.0, chi_hat=0.5)
-    assert scale_factor("indicator", "lag1", scalings=sc) == pytest.approx(
+    assert scale("indicator", "iid", 2.0) == 1.0
+    assert scale("log_excess", "iid", 2.0) == pytest.approx(math.sqrt(2.0))
+    omega_hat, chi_hat = 2.0 / 3.0, 0.5
+    assert scale("indicator", "lag1", 2.0, omega_hat, chi_hat) == pytest.approx(
         1.0 / math.sqrt(5.0 / 3.0)
     )
-    assert scale_factor("indicator", "lag1", scalings=sc) == pytest.approx(0.774597, abs=1e-6)
-    assert scale_factor("log_excess", "lag1", alpha_hat=2.0, scalings=sc) == pytest.approx(
+    assert scale("indicator", "lag1", 2.0, omega_hat, chi_hat) == pytest.approx(0.774597, abs=1e-6)
+    assert scale("log_excess", "lag1", 2.0, omega_hat, chi_hat) == pytest.approx(
         2.0 / math.sqrt(2.5)
     )
-
-
-def test_scale_factor_errors():
-    with pytest.raises(ValueError):
-        scale_factor("log_excess", "iid", alpha_hat=float("inf"))
-    with pytest.raises(ValueError):
-        scale_factor("log_excess", "iid")
-    with pytest.raises(ValueError):
-        scale_factor("indicator", "lag1")
-    with pytest.raises(ValueError):
-        scale_factor("indicator", "lag1", scalings=ScalingEstimates(-0.1, 0.0))
-    with pytest.raises(ValueError):
-        scale_factor("log_excess", "lag1", alpha_hat=1.0, scalings=ScalingEstimates(0.0, -0.1))
-    with pytest.raises(ValueError):
-        scale_factor("bogus", "iid")
 
 
 # ---------------------------------------------------------------------------

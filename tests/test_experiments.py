@@ -66,6 +66,15 @@ def test_spec_validation():
         SimulationSpec(model=model, n=100, k_grid=(10,), replications=0)
     with pytest.raises(ValueError):
         SimulationSpec(model=model, n=100, k_grid=(10,), test="bootstrap")
+    ar = dict(model=model, n=100, k_grid=(10,), test="ar_residual")
+    with pytest.raises(ValueError, match="ar_order must be at least 1"):
+        SimulationSpec(**ar, ar_order=0)
+    for order in (1.5, True):
+        with pytest.raises(TypeError, match="ar_order must be an integer"):
+            SimulationSpec(**ar, ar_order=order)
+    with pytest.raises(ValueError, match="ar_method must be one of"):
+        SimulationSpec(**ar, ar_method="bogus")
+    assert type(SimulationSpec(**ar, ar_order=np.int64(2)).ar_order) is int
 
 
 def test_mse_present_iff_change():

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 from scipy.stats import kstwobign
 
+from oracles import kolmogorov_cdf, kolmogorov_quantile
 from tailshift.null_dist import (
     CriticalValueTable,
     analytic_critical_values,
     analytic_quantile,
-    critical_value,
-    kolmogorov_cdf,
     mc_critical_values,
     simulate_L,
 )
@@ -19,7 +18,7 @@ STANDARD_LEVELS = (0.90, 0.95, 0.99)
 
 
 # ---------------------------------------------------------------------------
-# analytic law
+# analytic law (the series oracle is checked here, then the library against it)
 # ---------------------------------------------------------------------------
 
 def test_cdf_shape():
@@ -41,8 +40,7 @@ def test_analytic_quantiles_against_independent_oracle():
     for level, expected in zip(STANDARD_LEVELS, (1.22387, 1.35810, 1.62762)):
         q = analytic_quantile(level)
         assert q == pytest.approx(expected, abs=1e-3)
-        assert q == pytest.approx(kstwobign.ppf(level), abs=1e-6)
-    assert critical_value(0.95) == analytic_quantile(0.95)
+        assert q == pytest.approx(kolmogorov_quantile(level), abs=3e-10)
 
 
 def test_analytic_quantile_solves_the_cdf():

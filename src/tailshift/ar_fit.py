@@ -2,17 +2,18 @@
 
 Fits are intercept-free (the modelled processes are mean-zero with symmetric
 innovations), either by least squares on the lagged design or by the
-Yule-Walker equations on raw (uncentered) autocovariances solved with the
-Levinson-Durbin recursion. The residual test applies the CUSUM machinery to
-the absolute residuals with the i.i.d. scaling: filtering out the
-autoregression removes the correlation effect, so no lag adjustment is
-needed.
+Yule-Walker equations on raw (uncentered) autocovariances solved with
+``scipy.linalg.solve_toeplitz`` (the Levinson-Durbin recursion). The
+residual test applies the CUSUM machinery to the absolute residuals with the
+i.i.d. scaling: filtering out the autoregression removes the correlation
+effect, so no lag adjustment is needed.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_toeplitz
 
 from .cusum import TailTestConfig, TestOutcome, run_test
 from .tail_core import as_int, finite_series
@@ -74,21 +75,10 @@ def _fit_yule_walker(x: np.ndarray, p: int) -> np.ndarray:
         raise DegenerateDataError(
             "zero lag-0 autocovariance; series is identically zero or vanishes at double precision"
         )
-    # Levinson-Durbin on the Toeplitz system
-    coef = np.zeros(p)
-    err = acov[0]
-    for m in range(1, p + 1):
-        kappa = acov[m] - float(np.dot(coef[: m - 1], acov[m - 1: 0: -1]))
-        kappa /= err
-        coef[m - 1] = kappa
-        if m > 1:
-            coef[: m - 1] -= kappa * coef[m - 2:: -1]
-        err *= 1.0 - kappa * kappa
-        if err <= 0.0 and m < p:
-            raise DegenerateDataError(
-                f"autocovariance system is singular at recursion step {m}"
-            )
-    return coef
+    try:
+        return solve_toeplitz(acov[:p], acov[1:])
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateDataError(f"singular autocovariance system for order {p}") from exc
 
 
 def check_fit_args(n: int, order, method: str, prefix: str = "") -> int:
@@ -118,9 +108,9 @@ def fit_ar(x, order: int, method: str = "ols") -> ArFit:
         Autoregressive order ``p >= 1``.
     method : str
         ``"ols"`` minimizes the sum of squared one-step errors;
-        ``"yule_walker"`` solves the raw-autocovariance Toeplitz system by
-        Levinson-Durbin (for p = 1 this is the lag-1/lag-0 moment ratio,
-        always inside [-1, 1]).
+        ``"yule_walker"`` solves the raw-autocovariance Toeplitz system with
+        ``scipy.linalg.solve_toeplitz`` (for p = 1 this is the lag-1/lag-0
+        moment ratio, always inside [-1, 1]).
     """
     v = finite_series(x)
     order = check_fit_args(v.size, order, method)
@@ -139,15 +129,11 @@ def residual_cusum(
 ) -> TestOutcome:
     """Change test on the absolute AR residuals with the i.i.d. scaling.
 
-    ``k`` is validated against the residual count ``n - order``; the returned
-    outcome's ``n``, ``l_hat`` and ``tau_hat`` refer to the residual axis,
-    which trails the original series by ``order`` observations.
+    ``k`` is checked by :func:`run_test` against the residual count: the
+    ``n - order`` residuals must number at least ``max(4, k + 2)``. The
+    returned outcome's ``n``, ``l_hat`` and ``tau_hat`` refer to the residual
+    axis, which trails the original series by ``order`` observations.
     """
     fit = fit_ar(x, order, method)
-    n_res = fit.residuals.size
-    if not 1 <= k <= n_res - 1:
-        raise ValueError(
-            f"k must satisfy 1 <= k <= (n - order) - 1 = {n_res - 1}, got {k}"
-        )
     cfg = TailTestConfig(k=k, phi=phi, adjust="iid", level=level, use_abs=True)
     return run_test(fit.residuals, cfg)

@@ -78,31 +78,13 @@ def read_series(path: str) -> np.ndarray:
 
 
 def _emit_outcome(outcome: TestOutcome, fmt: str, extra: dict | None = None) -> None:
+    extra = extra or {}
     if fmt == "structured":
-        record = asdict(outcome)  # the fields in declaration order
-        if extra:
-            record.update(extra)
-        print(json.dumps(record))
+        print(json.dumps({**asdict(outcome), **extra}))  # the fields in declaration order
         return
-    if extra:
-        for key, value in extra.items():
-            print(f"{key}: {value}")
-    print(f"n: {outcome.n}")
-    print(f"k: {outcome.k}")
-    print(f"phi: {outcome.phi}")
-    print(f"adjust: {outcome.adjust}")
-    print(f"level: {outcome.level:g}")
-    print(f"alpha_hat: {outcome.alpha_hat:.6g}")
-    if outcome.omega_hat is not None:
-        print(f"omega_hat: {outcome.omega_hat:.6g}")
-    if outcome.chi_hat is not None:
-        print(f"chi_hat: {outcome.chi_hat:.6g}")
-    print(f"statistic: {outcome.statistic:.6g}")
-    print(f"scale_factor: {outcome.scale_factor:.6g}")
-    print(f"scaled_statistic: {outcome.scaled_statistic:.6g}")
-    print(f"critical_value: {outcome.critical_value:.6g}")
-    print(f"l_hat: {outcome.l_hat}")
-    print(f"tau_hat: {outcome.tau_hat:.6g}")
+    for key, value in {**extra, **asdict(outcome)}.items():
+        if key != "reject" and value is not None:
+            print(f"{key}: {value:.6g}" if isinstance(value, float) else f"{key}: {value}")
     print("decision: change detected" if outcome.reject else "decision: no change detected")
 
 

@@ -13,15 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel, null_dist
-from .tail_core import (
-    DegenerateThresholdError,
-    _check_k,
-    _descending,
-    _zero_floor,
-    _zero_threshold,
-    as_int,
-    nonneg_view,
-)
+from .tail_core import DegenerateThresholdError, _at_k, _zero_floor, _zero_threshold, as_int
 
 __all__ = [
     "PHI_KINDS",
@@ -101,9 +93,7 @@ class TestOutcome:
 
 def _one_k(x, k: int, phi: str, use_abs: bool) -> kernel.TailGrid:
     _check_phi(phi)
-    v = nonneg_view(x, use_abs)
-    _check_k(k, v.size)
-    grid = kernel.tail_grid(v, _descending(v), [k], phi)
+    grid = _at_k(x, k, phi, use_abs=use_abs)[1]
     if phi == "log_excess" and grid.threshold[0] <= 0.0:
         raise _zero_threshold(k)
     return grid
@@ -132,12 +122,9 @@ def run_test(x, cfg: TailTestConfig) -> TestOutcome:
     exist. Deterministic: the critical value is the analytic quantile at
     ``1 - level``.
     """
-    v = nonneg_view(x, cfg.use_abs)
-    n = v.size
     k = cfg.k
-    if n < max(4, k + 2):
-        raise ValueError(f"need n >= max(4, k + 2) = {max(4, k + 2)}, got n = {n}")
-    grid = kernel.tail_grid(v, _descending(v), [k], cfg.phi, cfg.adjust, cfg.level)
+    v, grid = _at_k(x, k, cfg.phi, cfg.adjust, cfg.level, cfg.use_abs, test=True)
+    n = v.size
     alpha_hat = float(grid.alpha_hat[0])
     if grid.degenerate[0]:
         if np.isnan(alpha_hat):

@@ -23,7 +23,7 @@ import numpy as np
 from .ar_fit import DegenerateDataError, check_fit_args, fit_ar
 from .cusum import TailTestConfig
 from .kernel import tail_grid
-from .tail_core import _descending, nonneg_view
+from .tail_core import as_int, nonneg_view
 from .variates import (
     BurrParams,
     ChangeSpec,
@@ -68,6 +68,8 @@ class SimulationSpec:
     label: str = ""
 
     def __post_init__(self):
+        for name in ("n", "replications", "seed"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
         if self.n < 4:
             raise ValueError(f"n must be at least 4, got {self.n}")
         # each k, phi, adjust and level is checked as for a single test
@@ -134,7 +136,7 @@ def run_table(spec: SimulationSpec) -> TableResult:
                 errors += 1
                 continue
         v = nonneg_view(series)
-        grid = tail_grid(v, _descending(v), ks, spec.phi, spec.adjust, spec.level)
+        grid = tail_grid(v, ks, spec.phi, spec.adjust, spec.level)
         ok = ~grid.degenerate
         errors += grid.degenerate
         ok_count += ok

@@ -1,14 +1,15 @@
 """The tail kernel: every quantity of the change test at every k of a grid in one pass.
 
-:func:`tail_grid` takes the non-negative view ``v`` of a series, its
-descending sort ``srt`` and an integer grid ``ks``. For all k at once it
-evaluates the exceedances over the thresholds ``srt[k - 1]`` and their log
-sizes (on the values above the smallest threshold only), the deviation
+:func:`tail_grid` takes the non-negative view ``v`` of a series and an
+integer grid ``ks``, and sorts ``v`` once. For all k at once it evaluates the
+thresholds (the k-th largest values), the exceedances over them and their
+log sizes (on the values above the smallest threshold only), the deviation
 process as a ``(K, n)`` array with its first maximizer, the Hill estimate
-over ``srt[k]`` and the lag-1 inflations. It is the only implementation of
-these formulas: the simulation harness passes a replication's whole grid,
-and the public estimators (``run_test``, ``deviation_process``, ``hill``,
-``estimate_omega``, ``estimate_chi``) are one-element grids.
+over the (k+1)-th largest value and the lag-1 inflations. It is the only
+implementation of these formulas and the only sort: the simulation harness
+passes a replication's whole grid, and every single-k function of
+:mod:`tailshift.tail_core` and :mod:`tailshift.cusum` is a one-element grid
+evaluated through ``tail_core._at_k``.
 """
 from __future__ import annotations
 
@@ -75,20 +76,20 @@ def excess_sizes(top: np.ndarray, threshold: np.ndarray) -> np.ndarray:
     return np.log(np.maximum(top, t) / t)
 
 
-def tail_grid(v: np.ndarray, srt: np.ndarray, ks, phi: str | None = None,
-              adjust: str = "iid", level: float = 0.05) -> TailGrid:
+def tail_grid(v: np.ndarray, ks, phi: str | None = None, adjust: str = "iid",
+              level: float = 0.05) -> TailGrid:
     """Evaluate the tail quantities at every ``k`` of ``ks`` at once.
 
-    ``v`` is a finite non-negative series of length ``n >= 2`` and ``srt``
-    its descending sort; every ``k`` is at least 1. Hill is always
-    evaluated; the deviation process, statistic, scaling and decision at
-    ``level`` only when ``phi`` names a transform; the lag-1 inflations only
-    when ``adjust == "lag1"``. A row with ``k > n - 1`` is evaluated at
+    ``v`` is a finite non-negative series of length ``n >= 2``; every ``k``
+    is at least 1. Hill is always evaluated; the deviation process,
+    statistic, scaling and decision at ``level`` only when ``phi`` names a
+    transform; the lag-1 inflations only when ``adjust == "lag1"``. A row with ``k > n - 1`` is evaluated at
     ``n - 1`` and flagged degenerate.
     """
     n = v.size
     ks = np.asarray(ks, dtype=np.int64)
     kk = np.minimum(ks, n - 1)
+    srt = np.sort(v)[::-1]
     threshold = srt[kk - 1]
 
     # Hill over the (k+1)-th largest value from the sorted top k: tied order

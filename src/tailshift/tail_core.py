@@ -1,7 +1,9 @@
 """Order statistics, the Hill estimator and lag-1 dependence scalings.
 
-The estimators here evaluate a one-element k grid of the tail kernel
-(:mod:`tailshift.kernel`), the single implementation of their formulas.
+The estimators here, and the single-k tests of :mod:`tailshift.cusum`, reach
+the tail kernel (:mod:`tailshift.kernel`), the single implementation of their
+formulas and the only sort, through one entry, ``_at_k``: it views the
+series, checks ``k`` and evaluates a one-element k grid.
 
 All operations act on a non-negative view of the data. By default the view
 is the absolute value (so signed series such as regression residuals are
@@ -78,12 +80,6 @@ def as_int(value, name: str) -> int:
     return int(value)
 
 
-def _check_k(k: int, n: int) -> None:
-    as_int(k, "k")
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must satisfy 1 <= k <= n - 1 = {n - 1}, got {k}")
-
-
 def _zero_threshold(k: int) -> DegenerateThresholdError:
     return DegenerateThresholdError(f"k-th largest value is 0 (k={k}); log excesses are undefined")
 
@@ -92,18 +88,30 @@ def _zero_floor(k: int) -> DegenerateThresholdError:
     return DegenerateThresholdError(f"(k+1)-th largest value is 0 (k={k}); the mean log excess is undefined")
 
 
-def _descending(v: np.ndarray) -> np.ndarray:
-    return np.sort(v)[::-1]
+def _at_k(x, k: int, phi: str | None = None, adjust: str = "iid", level: float = 0.05,
+          use_abs: bool = True, test: bool = False) -> tuple[np.ndarray, kernel.TailGrid]:
+    """The non-negative view of ``x`` and the one-element kernel grid at ``k``.
+
+    ``k`` must be an integer with ``1 <= k <= n - 1``; with ``test`` set, the
+    series must instead hold the ``max(4, k + 2)`` values the change test needs.
+    """
+    v = nonneg_view(x, use_abs)
+    n = v.size
+    if test:
+        if n < max(4, k + 2):
+            raise ValueError(f"need n >= max(4, k + 2) = {max(4, k + 2)}, got n = {n}")
+    elif not 1 <= as_int(k, "k") <= n - 1:
+        raise ValueError(f"k must satisfy 1 <= k <= n - 1 = {n - 1}, got {k}")
+    return v, kernel.tail_grid(v, [k], phi, adjust, level)
 
 
 def order_statistic(x, j: int, use_abs: bool = True) -> float:
     """The ``j``-th largest value of the non-negative view (``j = 1`` is the maximum)."""
     v = nonneg_view(x, use_abs)
     n = v.size
-    if not 1 <= j <= n:
+    if not 1 <= as_int(j, "j") <= n:
         raise IndexError(f"j must satisfy 1 <= j <= n = {n}, got {j}")
-    # partition puts the (n-j)-th smallest in place, i.e. the j-th largest
-    return float(np.partition(v, n - j)[n - j])
+    return float(np.sort(v)[::-1][j - 1])
 
 
 def hill(x, k: int, use_abs: bool = True) -> HillEstimate:
@@ -117,9 +125,7 @@ def hill(x, k: int, use_abs: bool = True) -> HillEstimate:
         Tail sample fraction, ``1 <= k <= n - 1``. The threshold is the
         (k+1)-th largest viewed value and must be positive.
     """
-    v = nonneg_view(x, use_abs)
-    _check_k(k, v.size)
-    grid = kernel.tail_grid(v, _descending(v), [k])
+    _, grid = _at_k(x, k, use_abs=use_abs)
     if np.isnan(grid.hill_mean[0]):
         raise _zero_floor(k)
     return HillEstimate(hill_mean=float(grid.hill_mean[0]), alpha_hat=float(grid.alpha_hat[0]), k=k)
@@ -131,20 +137,16 @@ def excess_indicators(x, k: int, use_abs: bool = True) -> np.ndarray:
     With all values distinct the indicators sum to ``k - 1`` (the threshold
     itself is excluded); ties at the threshold lower the sum further.
     """
-    v = nonneg_view(x, use_abs)
-    _check_k(k, v.size)
-    threshold = _descending(v)[k - 1]
-    return (v > threshold).astype(np.int64)
+    v, grid = _at_k(x, k, use_abs=use_abs)
+    return (v > grid.threshold[0]).astype(np.int64)
 
 
 def log_excesses(x, k: int, use_abs: bool = True) -> np.ndarray:
     """Positive parts of ``log X_i - log X_(k)``; requires a positive threshold."""
-    v = nonneg_view(x, use_abs)
-    _check_k(k, v.size)
-    threshold = _descending(v)[k - 1: k]
-    if threshold[0] <= 0.0:
+    v, grid = _at_k(x, k, use_abs=use_abs)
+    if grid.threshold[0] <= 0.0:
         raise _zero_threshold(k)
-    return kernel.excess_sizes(v, threshold)[0]
+    return kernel.excess_sizes(v, grid.threshold)[0]
 
 
 def estimate_omega(x, k: int, use_abs: bool = True) -> float:
@@ -153,10 +155,7 @@ def estimate_omega(x, k: int, use_abs: bool = True) -> float:
     Computes ``(2 / k) * sum_i I(X_i > X_(k), X_{i+1} > X_(k))``, the lag-1
     estimator, adequate for 2-dependent series such as MA(1).
     """
-    v = nonneg_view(x, use_abs)
-    _check_k(k, v.size)
-    grid = kernel.tail_grid(v, _descending(v), [k], adjust="lag1")
-    return 2.0 * int(grid.pairs[0]) / k
+    return float(_at_k(x, k, adjust="lag1", use_abs=use_abs)[1].omega_hat[0])
 
 
 def estimate_chi(x, k: int, alpha_hat: float, use_abs: bool = True) -> float:
@@ -169,10 +168,7 @@ def estimate_chi(x, k: int, alpha_hat: float, use_abs: bool = True) -> float:
         raise DegenerateThresholdError(
             f"alpha_hat must be finite and positive, got {alpha_hat}"
         )
-    v = nonneg_view(x, use_abs)
-    _check_k(k, v.size)
-    grid = kernel.tail_grid(v, _descending(v), [k], adjust="lag1")
-    total = float(grid.cross[0])
+    total = float(_at_k(x, k, adjust="lag1", use_abs=use_abs)[1].cross[0])
     if np.isnan(total):
         raise _zero_threshold(k)
     return 2.0 * alpha_hat * total / k

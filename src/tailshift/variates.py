@@ -9,6 +9,7 @@ streams with :func:`replication_rng`.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,10 +22,8 @@ __all__ = [
     "ModelSpec",
     "TDistParams",
     "as_generator",
-    "burr_cdf",
     "burr_quantile",
     "burr_sample",
-    "burr_sf",
     "replication_rng",
     "simulate",
     "t_sample",
@@ -50,9 +49,11 @@ def replication_rng(seed: int, index: int) -> np.random.Generator:
 
     Streams are split as ``SeedSequence((seed, index))`` feeding a counter-based
     Philox generator, so replication ``index`` sees the same stream whether the
-    harness runs serially or fans replications out to workers.
+    harness runs serially or fans replications out to workers. Both arguments
+    must be integers; a float is a ``TypeError``, never truncated.
     """
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((int(seed), int(index)))))
+    seq = np.random.SeedSequence((operator.index(seed), operator.index(index)))
+    return np.random.Generator(np.random.Philox(seq))
 
 
 @dataclass(frozen=True)
@@ -156,19 +157,6 @@ def burr_quantile(u, params: BurrParams):
         raise ValueError("u must lie strictly inside (0, 1)")
     x = (params.beta * (u_arr ** (-1.0 / params.lam) - 1.0)) ** (-1.0 / params.gamma)
     return float(x) if u_arr.ndim == 0 else x
-
-
-def burr_sf(x, params: BurrParams):
-    """Survival function ``(beta / (beta + x**(-gamma)))**lam`` on ``x >= 0``."""
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr < 0.0):
-        raise ValueError("the Burr law is supported on [0, inf)")
-    sf = (params.beta / (params.beta + x_arr ** (-params.gamma))) ** params.lam
-    return float(sf) if x_arr.ndim == 0 else sf
-
-
-def burr_cdf(x, params: BurrParams):
-    return 1.0 - burr_sf(x, params)
 
 
 def _draw(params: InnovationParams, size: int, rng: np.random.Generator) -> np.ndarray:

@@ -5,6 +5,8 @@ These deliberately avoid the library's vectorized paths (plain Python loops,
 """
 import math
 
+import numpy as np
+
 
 def hill_oracle(values, k):
     """Mean positive part of log(x) - log(k+1-th largest), direct sum."""
@@ -90,6 +92,25 @@ def kolmogorov_quantile(level):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def yule_walker_oracle(x, p):
+    """AR(p) Yule-Walker coefficients on raw autocovariances by a hand Levinson-Durbin recursion.
+
+    Independent of ``scipy.linalg.solve_toeplitz``, which the library calls.
+    """
+    n = x.size
+    acov = np.array([float(np.dot(x[: n - h], x[h:])) / n for h in range(p + 1)])
+    coef = np.zeros(p)
+    err = acov[0]
+    for m in range(1, p + 1):
+        kappa = acov[m] - float(np.dot(coef[: m - 1], acov[m - 1: 0: -1]))
+        kappa /= err
+        coef[m - 1] = kappa
+        if m > 1:
+            coef[: m - 1] -= kappa * coef[m - 2:: -1]
+        err *= 1.0 - kappa * kappa
+    return coef
 
 
 def pareto_sample(rng, n, alpha):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import yule_walker_oracle
 from tailshift.ar_fit import DegenerateDataError, fit_ar, residual_cusum
 from tailshift.tail_core import DegenerateThresholdError
 from tailshift.variates import ModelSpec, TDistParams, replication_rng, simulate
@@ -102,6 +103,18 @@ def test_yule_walker_matches_ols_on_long_light_tailed_sample():
     assert ols == pytest.approx([0.5, -0.3], abs=0.03)
 
 
+def test_yule_walker_matches_hand_levinson_durbin():
+    for seed in range(4):
+        x = simulate(AR_MODEL, 500, seed=replication_rng(810, seed))
+        for p in range(1, 6):
+            want = yule_walker_oracle(x, p)
+            got = fit_ar(x, p, "yule_walker").coefficients
+            if p == 1:
+                assert np.array_equal(got, want)  # the lag-1/lag-0 ratio either way
+            else:
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 @settings(max_examples=100)
 @given(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=4, max_size=60))
 def test_yule_walker_order_one_is_bounded(xs):
@@ -128,8 +141,10 @@ def test_residual_cusum_runs_and_reports_residual_axis():
 
 def test_residual_cusum_k_validated_against_residual_count():
     x = simulate(AR_MODEL, 100, seed=10)
-    with pytest.raises(ValueError):
-        residual_cusum(x, order=1, k=99)  # only 99 residuals, need k <= 98
+    # 99 residuals: run_test's n >= max(4, k + 2) is the only bound, so k <= 97
+    for k in (98, 99):
+        with pytest.raises(ValueError, match=rf"need n >= max\(4, k \+ 2\) = {k + 2}, got n = 99"):
+            residual_cusum(x, order=1, k=k)
     residual_cusum(x, order=1, k=97)
 
 

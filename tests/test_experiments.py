@@ -75,6 +75,12 @@ def test_spec_validation():
     with pytest.raises(ValueError, match="ar_method must be one of"):
         SimulationSpec(**ar, ar_method="bogus")
     assert type(SimulationSpec(**ar, ar_order=np.int64(2)).ar_order) is int
+    base = dict(model=model, n=100, k_grid=(10,))
+    for name, value in (("n", 100.5), ("replications", 2.5), ("replications", True), ("seed", 1.5)):
+        with pytest.raises(TypeError, match=f"{name} must be an integer"):
+            SimulationSpec(**{**base, name: value})
+    spec = SimulationSpec(**{**base, "n": np.int64(100), "replications": np.int64(3), "seed": np.int64(4)})
+    assert [type(value) for value in (spec.n, spec.replications, spec.seed)] == [int, int, int]
 
 
 def test_mse_present_iff_change():

@@ -29,9 +29,8 @@ def test_grid_matches_oracle_at_every_k(xs, data):
     n = len(xs)
     ks = data.draw(st.lists(st.integers(min_value=1, max_value=n + 1), min_size=1, max_size=6))
     v = np.asarray(xs)
-    srt = np.sort(v)[::-1]
     for phi, adjust in PAIRS:
-        grid = tail_grid(v, srt, ks, phi, adjust)
+        grid = tail_grid(v, ks, phi, adjust)
         for j, k in enumerate(ks):
             try:
                 want = tail_test_oracle(xs, k, phi, adjust)
@@ -53,12 +52,11 @@ def test_grid_matches_oracle_at_every_k(xs, data):
 
 def test_grid_rows_equal_one_element_grids():
     x = np.abs(simulate(ModelSpec("ma1", TDistParams(2.0), coef=0.5), 1000, seed=5))
-    srt = np.sort(x)[::-1]
     ks = list(range(10, 101, 10))
     for phi, adjust in PAIRS:
-        grid = tail_grid(x, srt, ks, phi, adjust)
+        grid = tail_grid(x, ks, phi, adjust)
         for j, k in enumerate(ks):
-            one = tail_grid(x, srt, [k], phi, adjust)
+            one = tail_grid(x, [k], phi, adjust)
             assert np.array_equal(grid.deviations[j], one.deviations[0])
             assert (grid.statistic[j], grid.l_hat[j], grid.reject[j]) == (
                 one.statistic[0], one.l_hat[0], one.reject[0])
@@ -68,7 +66,7 @@ def test_grid_rows_equal_one_element_grids():
 def test_fully_tied_top_keeps_alpha_infinite():
     x = [5.0, 5.0, 1.0, 5.0, 2.0, 3.0, 1.5, 0.5]
     assert math.isinf(hill(x, 2).alpha_hat)
-    grid = tail_grid(np.asarray(x), np.sort(x)[::-1], [1, 2, 3], "log_excess")
+    grid = tail_grid(np.asarray(x), [1, 2, 3], "log_excess")
     assert math.isinf(grid.alpha_hat[0]) and math.isinf(grid.alpha_hat[1])
     assert np.isfinite(grid.alpha_hat[2])
     assert grid.degenerate.tolist() == [True, True, False]
@@ -88,6 +86,6 @@ def test_lag1_indicator_with_infinite_alpha_reports_no_chi():
 
 def test_zero_threshold_rows_are_degenerate_not_raised():
     v = np.asarray([4.0, 0.0, 3.0, 0.0, 0.0, 2.0, 0.0, 0.0])
-    grid = tail_grid(v, np.sort(v)[::-1], [1, 2, 3, 4], "log_excess", "lag1")
+    grid = tail_grid(v, [1, 2, 3, 4], "log_excess", "lag1")
     assert grid.degenerate.tolist() == [False, False, True, True]
     assert np.isnan(grid.cross[3]) and np.isnan(grid.alpha_hat[3])

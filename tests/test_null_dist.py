@@ -126,6 +126,8 @@ def test_mc_validation():
         mc_critical_values([1.5])
     with pytest.raises(ValueError):
         mc_critical_values([])
+    with pytest.raises(TypeError):  # not silently run as seed 1
+        mc_critical_values([0.95], n_points=10, n_rep=100, seed=1.5)
 
 
 # ---------------------------------------------------------------------------

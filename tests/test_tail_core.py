@@ -42,6 +42,10 @@ def test_order_statistic_hand_cases():
         order_statistic([1, 2, 3], 4)
     with pytest.raises(IndexError):
         order_statistic([1, 2, 3], 0)
+    for j in (True, 2.0):
+        with pytest.raises(TypeError, match="j must be an integer"):
+            order_statistic([5, 1, 2, 3], j)
+    assert order_statistic([5, 1, 2, 3], np.int64(3)) == 2.0
 
 
 def test_nonneg_view_modes():

@@ -120,10 +120,10 @@ def run_test(x, cfg: TailTestConfig) -> TestOutcome:
 
     Requires ``n >= max(4, k + 2)`` so that both order-statistic thresholds
     exist. Deterministic: the critical value is the analytic quantile at
-    ``1 - level``.
+    ``1 - level``, and the test rejects when ``scale * statistic`` reaches it.
     """
     k = cfg.k
-    v, grid = _at_k(x, k, cfg.phi, cfg.adjust, cfg.level, cfg.use_abs, test=True)
+    v, grid = _at_k(x, k, cfg.phi, cfg.adjust, cfg.use_abs, test=True)
     n = v.size
     alpha_hat = float(grid.alpha_hat[0])
     if grid.degenerate[0]:
@@ -137,7 +137,9 @@ def run_test(x, cfg: TailTestConfig) -> TestOutcome:
             chi_hat = float(grid.chi_hat[0])
     statistic = float(grid.statistic[0])
     scale = float(grid.scale[0])
+    scaled = scale * statistic
     l_hat = int(grid.l_hat[0])
+    critical_value = null_dist.analytic_quantile(1.0 - cfg.level)
     return TestOutcome(
         n=n,
         k=k,
@@ -149,9 +151,9 @@ def run_test(x, cfg: TailTestConfig) -> TestOutcome:
         chi_hat=chi_hat,
         statistic=statistic,
         scale_factor=scale,
-        scaled_statistic=scale * statistic,
-        critical_value=null_dist.analytic_quantile(1.0 - cfg.level),
-        reject=bool(grid.reject[0]),
+        scaled_statistic=scaled,
+        critical_value=critical_value,
+        reject=scaled >= critical_value,
         l_hat=l_hat,
         tau_hat=l_hat / n,
     )

@@ -23,6 +23,7 @@ import numpy as np
 from .ar_fit import DegenerateDataError, check_fit_args, fit_ar
 from .cusum import TailTestConfig
 from .kernel import tail_grid
+from .null_dist import analytic_quantile
 from .tail_core import as_int, nonneg_view
 from .variates import (
     BurrParams,
@@ -87,6 +88,8 @@ class SimulationSpec:
             object.__setattr__(self, "ar_order", check_fit_args(self.n, self.ar_order, self.ar_method, "ar_"))
         if self.replications < 1:
             raise ValueError(f"replications must be at least 1, got {self.replications}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -125,6 +128,7 @@ def run_table(spec: SimulationSpec) -> TableResult:
     sq_err = np.zeros(n_k)
     ok_count = np.zeros(n_k, dtype=np.int64)
     alpha_sum = np.zeros(n_k)
+    critical = analytic_quantile(1.0 - spec.level)
 
     for r in range(spec.replications):
         rng = replication_rng(spec.seed, r)
@@ -136,11 +140,11 @@ def run_table(spec: SimulationSpec) -> TableResult:
                 errors += 1
                 continue
         v = nonneg_view(series)
-        grid = tail_grid(v, ks, spec.phi, spec.adjust, spec.level)
+        grid = tail_grid(v, ks, spec.phi, spec.adjust)
         ok = ~grid.degenerate
         errors += grid.degenerate
         ok_count += ok
-        rejects += grid.reject & ok
+        rejects += (grid.scale * grid.statistic >= critical) & ok
         np.add(alpha_sum, grid.alpha_hat, out=alpha_sum, where=ok)
         if spec.change is not None:
             np.add(sq_err, (grid.l_hat / v.size - spec.change.tau) ** 2, out=sq_err, where=ok)
@@ -222,28 +226,15 @@ def results_to_csv(results) -> str:
 
 
 def _spec_dict(spec: SimulationSpec) -> dict:
-    model = {"kind": spec.model.kind, "coef": spec.model.coef,
-             "innovation": _innovation_tag(spec.model.innovation)}
-    change = None
-    if spec.change is not None:
-        change = {"tau": spec.change.tau,
-                  "pre": _innovation_tag(spec.change.pre),
-                  "post": _innovation_tag(spec.change.post)}
-    return {
+    """The spec's fields, with ``label``, ``model`` and ``change`` first and the laws as tags."""
+    model, change = spec.model, spec.change
+    head = {
         "label": spec.label,
-        "model": model,
-        "change": change,
-        "n": spec.n,
-        "k_grid": list(spec.k_grid),
-        "phi": spec.phi,
-        "adjust": spec.adjust,
-        "test": spec.test,
-        "ar_order": spec.ar_order,
-        "ar_method": spec.ar_method,
-        "level": spec.level,
-        "replications": spec.replications,
-        "seed": spec.seed,
+        "model": {"kind": model.kind, "coef": model.coef, "innovation": _innovation_tag(model.innovation)},
+        "change": None if change is None else {
+            "tau": change.tau, "pre": _innovation_tag(change.pre), "post": _innovation_tag(change.post)},
     }
+    return head | {name: value for name, value in asdict(spec).items() if name not in head}
 
 
 def results_to_report(results) -> str:

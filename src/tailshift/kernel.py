@@ -5,19 +5,18 @@ integer grid ``ks``, and sorts ``v`` once. For all k at once it evaluates the
 thresholds (the k-th largest values), the exceedances over them and their
 log sizes (on the values above the smallest threshold only), the deviation
 process as a ``(K, n)`` array with its first maximizer, the Hill estimate
-over the (k+1)-th largest value and the lag-1 inflations. It is the only
-implementation of these formulas and the only sort: the simulation harness
-passes a replication's whole grid, and every single-k function of
+over the (k+1)-th largest value, the lag-1 inflations and the scaling. It is
+the only implementation of these formulas and the only sort: the simulation
+harness passes a replication's whole grid, and every single-k function of
 :mod:`tailshift.tail_core` and :mod:`tailshift.cusum` is a one-element grid
-evaluated through ``tail_core._at_k``.
+evaluated through ``tail_core._at_k``. Callers decide at a level by comparing
+``scale * statistic`` with the critical value; the kernel imports no package module.
 """
 from __future__ import annotations
 
 from typing import NamedTuple
 
 import numpy as np
-
-from . import null_dist
 
 
 class TailGrid(NamedTuple):
@@ -26,15 +25,14 @@ class TailGrid(NamedTuple):
     ``threshold`` is the k-th largest value. ``hill_mean`` is NaN where the
     (k+1)-th largest value is 0; ``alpha_hat`` is then NaN as well, and
     ``inf`` where every log excess vanishes. Only with a statistic requested
-    are ``deviations`` (shape ``(K, n)``), ``statistic``, ``l_hat``,
-    ``scale`` and ``reject`` set; only with the lag-1 adjustment are
-    ``pairs`` (joint exceedances), ``cross`` (summed products of adjacent
-    log excesses, NaN for a zero threshold), ``omega_hat`` and ``chi_hat``
-    (NaN unless ``alpha_hat`` is finite). ``degenerate`` marks the
-    documented degeneracies of the test, where no outcome exists:
-    ``n < max(4, k + 2)``, a zero (k+1)-th largest value (every outcome
-    reports ``alpha_hat``), and an infinite ``alpha_hat`` under the
-    log-excess scaling.
+    are ``deviations`` (shape ``(K, n)``), ``statistic``, ``l_hat`` and
+    ``scale`` set (no decision at a level); only with the lag-1 adjustment
+    are ``cross`` (summed products of adjacent log excesses, NaN for a zero
+    threshold), ``omega_hat`` and ``chi_hat`` (NaN unless ``alpha_hat`` is
+    finite). ``degenerate`` marks the documented degeneracies of the test,
+    where no outcome exists: ``n < max(4, k + 2)``, a zero (k+1)-th largest
+    value (every outcome reports ``alpha_hat``), and an infinite
+    ``alpha_hat`` under the log-excess scaling.
     """
 
     ks: np.ndarray
@@ -46,8 +44,6 @@ class TailGrid(NamedTuple):
     statistic: np.ndarray | None = None
     l_hat: np.ndarray | None = None
     scale: np.ndarray | None = None
-    reject: np.ndarray | None = None
-    pairs: np.ndarray | None = None
     cross: np.ndarray | None = None
     omega_hat: np.ndarray | None = None
     chi_hat: np.ndarray | None = None
@@ -76,15 +72,14 @@ def excess_sizes(top: np.ndarray, threshold: np.ndarray) -> np.ndarray:
     return np.log(np.maximum(top, t) / t)
 
 
-def tail_grid(v: np.ndarray, ks, phi: str | None = None, adjust: str = "iid",
-              level: float = 0.05) -> TailGrid:
+def tail_grid(v: np.ndarray, ks, phi: str | None = None, adjust: str = "iid") -> TailGrid:
     """Evaluate the tail quantities at every ``k`` of ``ks`` at once.
 
     ``v`` is a finite non-negative series of length ``n >= 2``; every ``k``
     is at least 1. Hill is always evaluated; the deviation process,
-    statistic, scaling and decision at ``level`` only when ``phi`` names a
-    transform; the lag-1 inflations only when ``adjust == "lag1"``. A row with ``k > n - 1`` is evaluated at
-    ``n - 1`` and flagged degenerate.
+    statistic and scaling only when ``phi`` names a transform; the lag-1
+    inflations only when ``adjust == "lag1"``. A row with ``k > n - 1`` is
+    evaluated at ``n - 1`` and flagged degenerate.
     """
     n = v.size
     ks = np.asarray(ks, dtype=np.int64)
@@ -122,11 +117,11 @@ def tail_grid(v: np.ndarray, ks, phi: str | None = None, adjust: str = "iid",
     gaps = bounds[1:] - bounds[:-1]
     if lag1:
         linked = gaps[1:-1] == 1  # columns a and a + 1 are neighbours in the series
-        pairs = (exceed[:, :-1] & exceed[:, 1:] & linked).sum(axis=1)
+        joint = (exceed[:, :-1] & exceed[:, 1:] & linked).sum(axis=1)
         cross = (sizes[:, :-1] * sizes[:, 1:] * linked).sum(axis=1)
         if not threshold.all():
             cross[threshold <= 0.0] = np.nan
-        out.update(pairs=pairs, cross=cross, omega_hat=2.0 * pairs / kk, chi_hat=2.0 * finite_alpha * cross / kk)
+        out.update(cross=cross, omega_hat=2.0 * joint / kk, chi_hat=2.0 * finite_alpha * cross / kk)
     if phi is None:
         return TailGrid(**out)
 
@@ -149,5 +144,4 @@ def tail_grid(v: np.ndarray, ks, phi: str | None = None, adjust: str = "iid",
     statistic = abs_d.max(axis=1) / np.sqrt(kk)
     del abs_d
     scaling = scale(phi, adjust, finite_alpha, out.get("omega_hat"), out.get("chi_hat"))
-    reject = scaling * statistic >= null_dist.analytic_quantile(1.0 - level)
-    return TailGrid(**out, deviations=d, statistic=statistic, l_hat=l_idx + 1, scale=scaling, reject=reject)
+    return TailGrid(**out, deviations=d, statistic=statistic, l_hat=l_idx + 1, scale=scaling)

@@ -30,7 +30,6 @@ __all__ = [
     "hill",
     "log_excesses",
     "nonneg_view",
-    "order_statistic",
 ]
 
 
@@ -88,8 +87,8 @@ def _zero_floor(k: int) -> DegenerateThresholdError:
     return DegenerateThresholdError(f"(k+1)-th largest value is 0 (k={k}); the mean log excess is undefined")
 
 
-def _at_k(x, k: int, phi: str | None = None, adjust: str = "iid", level: float = 0.05,
-          use_abs: bool = True, test: bool = False) -> tuple[np.ndarray, kernel.TailGrid]:
+def _at_k(x, k: int, phi: str | None = None, adjust: str = "iid", use_abs: bool = True,
+          test: bool = False) -> tuple[np.ndarray, kernel.TailGrid]:
     """The non-negative view of ``x`` and the one-element kernel grid at ``k``.
 
     ``k`` must be an integer with ``1 <= k <= n - 1``; with ``test`` set, the
@@ -102,16 +101,7 @@ def _at_k(x, k: int, phi: str | None = None, adjust: str = "iid", level: float =
             raise ValueError(f"need n >= max(4, k + 2) = {max(4, k + 2)}, got n = {n}")
     elif not 1 <= as_int(k, "k") <= n - 1:
         raise ValueError(f"k must satisfy 1 <= k <= n - 1 = {n - 1}, got {k}")
-    return v, kernel.tail_grid(v, [k], phi, adjust, level)
-
-
-def order_statistic(x, j: int, use_abs: bool = True) -> float:
-    """The ``j``-th largest value of the non-negative view (``j = 1`` is the maximum)."""
-    v = nonneg_view(x, use_abs)
-    n = v.size
-    if not 1 <= as_int(j, "j") <= n:
-        raise IndexError(f"j must satisfy 1 <= j <= n = {n}, got {j}")
-    return float(np.sort(v)[::-1][j - 1])
+    return v, kernel.tail_grid(v, [k], phi, adjust)
 
 
 def hill(x, k: int, use_abs: bool = True) -> HillEstimate:
@@ -128,7 +118,7 @@ def hill(x, k: int, use_abs: bool = True) -> HillEstimate:
     _, grid = _at_k(x, k, use_abs=use_abs)
     if np.isnan(grid.hill_mean[0]):
         raise _zero_floor(k)
-    return HillEstimate(hill_mean=float(grid.hill_mean[0]), alpha_hat=float(grid.alpha_hat[0]), k=k)
+    return HillEstimate(hill_mean=float(grid.hill_mean[0]), alpha_hat=float(grid.alpha_hat[0]), k=int(k))
 
 
 def excess_indicators(x, k: int, use_abs: bool = True) -> np.ndarray:

@@ -1,19 +1,21 @@
 """Random variates and path simulation for heavy-tailed designs.
 
-Samplers for the Burr and Student-t families plus i.i.d./MA(1)/AR(1) path
-generation with an optional single switch of the innovation law. Everything
-is reproducible: public entry points accept either an integer seed or a
+Burr and Student-t innovation laws and i.i.d./MA(1)/AR(1) path generation
+with an optional single switch of the innovation law; i.i.d. samples of a law
+are ``simulate(ModelSpec("iid", params), n, seed)``. Everything is
+reproducible: public entry points accept either an integer seed or a
 ``numpy.random.Generator``, and replication harnesses derive independent
 streams with :func:`replication_rng`.
 """
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import lfilter
+
+from .tail_core import as_int
 
 __all__ = [
     "AR_BURNIN",
@@ -23,10 +25,8 @@ __all__ = [
     "TDistParams",
     "as_generator",
     "burr_quantile",
-    "burr_sample",
     "replication_rng",
     "simulate",
-    "t_sample",
 ]
 
 # Presample steps discarded when starting the AR recursion from zero.
@@ -37,10 +37,18 @@ AR_BURNIN = 1000
 _MIN_UNIFORM = 1e-300
 
 
+def _require(name: str, value, ok: bool, rule: str) -> None:
+    """Reject a parameter that breaks ``rule`` or is not finite, naming the field."""
+    if not (ok and math.isfinite(value)):
+        raise ValueError(f"{name} must be finite and {rule}, got {value}")
+
+
 def as_generator(seed) -> np.random.Generator:
-    """Return ``seed`` itself if it is a Generator, else a fresh Philox stream."""
+    """``seed`` itself if it is a Generator, else a Philox stream from an integer seed or None."""
     if isinstance(seed, np.random.Generator):
         return seed
+    if seed is not None:
+        seed = as_int(seed, "seed")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
@@ -50,9 +58,9 @@ def replication_rng(seed: int, index: int) -> np.random.Generator:
     Streams are split as ``SeedSequence((seed, index))`` feeding a counter-based
     Philox generator, so replication ``index`` sees the same stream whether the
     harness runs serially or fans replications out to workers. Both arguments
-    must be integers; a float is a ``TypeError``, never truncated.
+    must be integers; a bool or a float is a ``TypeError``, never truncated.
     """
-    seq = np.random.SeedSequence((operator.index(seed), operator.index(index)))
+    seq = np.random.SeedSequence((as_int(seed, "seed"), as_int(index, "index")))
     return np.random.Generator(np.random.Philox(seq))
 
 
@@ -60,8 +68,8 @@ def replication_rng(seed: int, index: int) -> np.random.Generator:
 class BurrParams:
     """Burr law with survival function ``(beta / (beta + x**(-gamma)))**lam``.
 
-    ``lam`` and ``beta`` must be positive and ``gamma`` negative; the tail
-    exponent is ``alpha = -gamma * lam``.
+    ``lam`` and ``beta`` must be finite and positive and ``gamma`` finite and
+    negative; the tail exponent is ``alpha = -gamma * lam``.
     """
 
     lam: float
@@ -69,12 +77,9 @@ class BurrParams:
     gamma: float = -1.0
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
-        if not self.beta > 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
-        if not self.gamma < 0:
-            raise ValueError(f"gamma must be negative, got {self.gamma}")
+        _require("lam", self.lam, self.lam > 0, "positive")
+        _require("beta", self.beta, self.beta > 0, "positive")
+        _require("gamma", self.gamma, self.gamma < 0, "negative")
 
     @property
     def alpha(self) -> float:
@@ -83,20 +88,18 @@ class BurrParams:
     @classmethod
     def from_alpha(cls, alpha: float, gamma: float, beta: float = 1.0) -> "BurrParams":
         """Parameters with tail exponent ``alpha`` and second-order exponent ``gamma``."""
-        if not alpha > 0:
-            raise ValueError(f"alpha must be positive, got {alpha}")
+        _require("alpha", alpha, alpha > 0, "positive")
         return cls(lam=-alpha / gamma, beta=beta, gamma=gamma)
 
 
 @dataclass(frozen=True)
 class TDistParams:
-    """Student-t law with ``nu`` degrees of freedom (tail exponent ``alpha = nu``)."""
+    """Student-t law with ``nu`` finite, positive degrees of freedom (tail exponent ``alpha = nu``)."""
 
     nu: float
 
     def __post_init__(self):
-        if not self.nu > 0:
-            raise ValueError(f"nu must be positive, got {self.nu}")
+        _require("nu", self.nu, self.nu > 0, "positive")
 
     @property
     def alpha(self) -> float:
@@ -112,9 +115,9 @@ _MODEL_KINDS = ("iid", "ma1", "ar1")
 class ModelSpec:
     """Data-generating model: i.i.d. draws, MA(1), or AR(1) over an innovation law.
 
-    ``coef`` is the single lag-1 coefficient: the moving-average weight for
-    ``kind="ma1"``, the autoregressive weight for ``kind="ar1"`` (must satisfy
-    ``|coef| < 1`` for stationarity), unused for ``kind="iid"``.
+    ``coef`` is the single finite lag-1 coefficient: the moving-average weight
+    for ``kind="ma1"``, the autoregressive weight for ``kind="ar1"`` (must
+    satisfy ``|coef| < 1`` for stationarity), unused for ``kind="iid"``.
     """
 
     kind: str
@@ -130,6 +133,8 @@ class ModelSpec:
         else:
             if self.coef is None:
                 raise ValueError(f"{self.kind} model requires a coefficient")
+            if not math.isfinite(self.coef):
+                raise ValueError(f"coef must be finite, got {self.coef}")
             if self.kind == "ar1" and not abs(self.coef) < 1:
                 raise ValueError(f"ar1 requires |coef| < 1, got {self.coef}")
 
@@ -171,20 +176,6 @@ def _draw(params: InnovationParams, size: int, rng: np.random.Generator) -> np.n
         w = rng.chisquare(params.nu, size)
         return z / np.sqrt(w / params.nu)
     raise TypeError(f"unsupported innovation parameters: {type(params).__name__}")
-
-
-def burr_sample(n: int, params: BurrParams, seed=None) -> np.ndarray:
-    """``n`` i.i.d. Burr draws by inverse transform; deterministic given ``seed``."""
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    return _draw(params, n, as_generator(seed))
-
-
-def t_sample(n: int, params: TDistParams, seed=None) -> np.ndarray:
-    """``n`` i.i.d. Student-t draws (signed); deterministic given ``seed``."""
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    return _draw(params, n, as_generator(seed))
 
 
 def simulate(model: ModelSpec, n: int, seed=None, change: ChangeSpec | None = None) -> np.ndarray:

@@ -201,6 +201,10 @@ def test_tables_stdout_and_bad_id(capsys):
     assert len(lines) == 1 + 2 * 10
     assert main(["tables", "--table", "99", "--replications", "1"]) == 1
     capsys.readouterr()
+    assert main(["tables", "--table", "2", "--replications", "1", "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no CSV: the other specs did not run on seeds 0-2
+    assert captured.err == "error: seed must be non-negative, got -1\n"
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +234,14 @@ def test_simulate_models_and_change(capsys):
     capsys.readouterr()
     assert main(["simulate", "--model", "iid-burr", "--alpha", "2", "--n", "10"]) == 1
     capsys.readouterr()
+    # non-finite parameters exit 1 naming the field, with no series written
+    for field, flags in (("coef", ["ma1-t", "--nu", "3", "--coef", "nan"]),
+                         ("coef", ["ma1-t", "--nu", "3", "--coef", "inf"]),
+                         ("nu", ["ma1-t", "--nu", "inf", "--coef", "0.5"]),
+                         ("lam", ["iid-burr", "--lam", "inf", "--gamma", "-1"])):
+        assert main(["simulate", "--model", *flags, "--n", "10", "--seed", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {field} must be finite")
 
 
 def test_simulate_pipes_into_test(tmp_path, capsys):

@@ -81,6 +81,12 @@ def test_spec_validation():
             SimulationSpec(**{**base, name: value})
     spec = SimulationSpec(**{**base, "n": np.int64(100), "replications": np.int64(3), "seed": np.int64(4)})
     assert [type(value) for value in (spec.n, spec.replications, spec.seed)] == [int, int, int]
+    for seed in (-1, np.int64(-5)):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            SimulationSpec(**{**base, "seed": seed})
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        table_specs(2, replications=1, seed=-1)
+    assert SimulationSpec(**{**base, "seed": 0}).seed == 0
 
 
 def test_mse_present_iff_change():

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from oracles import OracleDegenerate, tail_test_oracle
 from tailshift.cusum import TailTestConfig, run_test
 from tailshift.kernel import tail_grid
-from tailshift.tail_core import DegenerateThresholdError, estimate_omega, hill
+from tailshift.tail_core import DegenerateThresholdError, _at_k, estimate_omega, hill
 from tailshift.variates import ModelSpec, TDistParams, simulate
 
 PAIRS = [(phi, adjust) for phi in ("indicator", "log_excess") for adjust in ("iid", "lag1")]
@@ -58,9 +60,9 @@ def test_grid_rows_equal_one_element_grids():
         for j, k in enumerate(ks):
             one = tail_grid(x, [k], phi, adjust)
             assert np.array_equal(grid.deviations[j], one.deviations[0])
-            assert (grid.statistic[j], grid.l_hat[j], grid.reject[j]) == (
-                one.statistic[0], one.l_hat[0], one.reject[0])
+            assert (grid.statistic[j], grid.l_hat[j]) == (one.statistic[0], one.l_hat[0])
             assert grid.alpha_hat[j] == pytest.approx(one.alpha_hat[0], rel=1e-14)
+            assert grid.scale[j] == pytest.approx(one.scale[0], rel=1e-14)
 
 
 def test_fully_tied_top_keeps_alpha_infinite():
@@ -89,3 +91,27 @@ def test_zero_threshold_rows_are_degenerate_not_raised():
     grid = tail_grid(v, [1, 2, 3, 4], "log_excess", "lag1")
     assert grid.degenerate.tolist() == [False, False, True, True]
     assert np.isnan(grid.cross[3]) and np.isnan(grid.alpha_hat[3])
+
+
+def test_threshold_hand_cases():
+    # the threshold is the k-th largest value of the view
+    assert tail_grid(np.asarray([5.0, 1.0, 2.0, 3.0]), [1, 2, 3]).threshold.tolist() == [5.0, 3.0, 2.0]
+    assert tail_grid(np.asarray([7.5, 7.5, 7.5]), [2]).threshold[0] == 7.5
+    assert _at_k([-4, 1, 2, 3], 1)[1].threshold[0] == 4.0  # absolute-value view
+    assert _at_k([5, 1, 2, 3], np.int64(3))[1].threshold[0] == 2.0
+    for k in (0, 3):
+        with pytest.raises(ValueError, match="k must satisfy"):
+            _at_k([1, 2, 3], k)
+    for k in (True, 2.0):
+        with pytest.raises(TypeError, match="k must be an integer"):
+            _at_k([5, 1, 2, 3], k)
+
+
+def test_kernel_imports_no_package_module():
+    # the kernel is a leaf: a package import here would close a cycle through tail_core
+    source = Path(__file__).parents[1] / "src" / "tailshift" / "kernel.py"
+    for node in ast.walk(ast.parse(source.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0 and not (node.module or "").startswith("tailshift"), ast.unparse(node)
+        elif isinstance(node, ast.Import):
+            assert not any(alias.name.startswith("tailshift") for alias in node.names), ast.unparse(node)

@@ -126,8 +126,9 @@ def test_mc_validation():
         mc_critical_values([1.5])
     with pytest.raises(ValueError):
         mc_critical_values([])
-    with pytest.raises(TypeError):  # not silently run as seed 1
-        mc_critical_values([0.95], n_points=10, n_rep=100, seed=1.5)
+    for seed in (1.5, True):  # not silently run as seed 1
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            mc_critical_values([0.95], n_points=10, n_rep=100, seed=seed)
 
 
 # ---------------------------------------------------------------------------

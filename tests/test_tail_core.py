@@ -14,7 +14,6 @@ from tailshift.tail_core import (
     hill,
     log_excesses,
     nonneg_view,
-    order_statistic,
 )
 from tailshift.variates import replication_rng
 
@@ -31,22 +30,8 @@ def series_and_k():
 
 
 # ---------------------------------------------------------------------------
-# order statistics / views
+# views
 # ---------------------------------------------------------------------------
-
-def test_order_statistic_hand_cases():
-    assert order_statistic([5, 1, 2, 3], 2) == 3.0
-    assert order_statistic([7.5, 7.5, 7.5], 2) == 7.5
-    assert order_statistic([-4, 1, 2, 3], 1) == 4.0  # absolute-value view
-    with pytest.raises(IndexError):
-        order_statistic([1, 2, 3], 4)
-    with pytest.raises(IndexError):
-        order_statistic([1, 2, 3], 0)
-    for j in (True, 2.0):
-        with pytest.raises(TypeError, match="j must be an integer"):
-            order_statistic([5, 1, 2, 3], j)
-    assert order_statistic([5, 1, 2, 3], np.int64(3)) == 2.0
-
 
 def test_nonneg_view_modes():
     assert np.array_equal(nonneg_view([-1.0, 2.0]), [1.0, 2.0])
@@ -67,6 +52,8 @@ def test_hill_hand_example():
     est = hill(np.exp([3.0, 1.0, 2.0, 0.0]), 2)
     assert est.hill_mean == pytest.approx(1.5, abs=1e-12)
     assert est.alpha_hat == pytest.approx(2.0 / 3.0, abs=1e-12)
+    # a numpy integer k is stored as a plain int, as TailTestConfig stores it
+    assert type(hill(np.exp([3.0, 1.0, 2.0, 0.0]), np.int64(2)).k) is int
 
 
 def test_hill_constant_series_flags_infinite_alpha():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import burr12, kstest
 
+from tailshift.kernel import tail_grid
 from tailshift.variates import (
     AR_BURNIN,
     BurrParams,
@@ -9,14 +10,17 @@ from tailshift.variates import (
     ModelSpec,
     TDistParams,
     burr_quantile,
-    burr_sample,
     replication_rng,
     simulate,
-    t_sample,
 )
 
 BURR_A2 = BurrParams.from_alpha(2.0, -2.0)  # lam=1, gamma=-2
 T3 = TDistParams(3.0)
+
+
+def iid_sample(params, n, seed):
+    """``n`` i.i.d. draws of ``params``: the i.i.d. model is the sampler."""
+    return simulate(ModelSpec("iid", params), n, seed=seed)
 
 
 def burr_law(p):
@@ -62,6 +66,14 @@ def test_burr_params_validation():
     with pytest.raises(ValueError):
         BurrParams(lam=1.0, beta=1.0, gamma=0.5)
     assert BurrParams.from_alpha(2.0, -2.0).alpha == pytest.approx(2.0)
+    # an infinite lam simulated all zeros; non-finite values name their field
+    for bad in (np.inf, np.nan):
+        for field, kwargs in (("lam", dict(lam=bad)), ("beta", dict(lam=1.0, beta=bad)),
+                              ("gamma", dict(lam=1.0, gamma=-bad))):
+            with pytest.raises(ValueError, match=f"^{field} must be finite"):
+                BurrParams(**kwargs)
+        with pytest.raises(ValueError, match="^alpha must be finite"):
+            BurrParams.from_alpha(bad, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -70,23 +82,23 @@ def test_burr_params_validation():
 
 def test_burr_sample_exceedance_fraction():
     # binomial oracle: P(X > sf^{-1}(0.01)) = 0.01, sd ~ 3e-4 at n = 1e5
-    x = burr_sample(100_000, BURR_A2, seed=31)
+    x = iid_sample(BURR_A2, 100_000, 31)
     threshold = burr_quantile(0.01, BURR_A2)
     assert np.mean(x > threshold) == pytest.approx(0.01, abs=0.002)
 
 
 def test_burr_sample_deterministic_and_validated():
-    a = burr_sample(1000, BURR_A2, seed=7)
-    b = burr_sample(1000, BURR_A2, seed=7)
+    a = iid_sample(BURR_A2, 1000, 7)
+    b = iid_sample(BURR_A2, 1000, 7)
     assert np.array_equal(a, b)
-    assert not np.array_equal(a, burr_sample(1000, BURR_A2, seed=8))
+    assert not np.array_equal(a, iid_sample(BURR_A2, 1000, 8))
     with pytest.raises(ValueError):
-        burr_sample(0, BURR_A2, seed=1)
+        iid_sample(BURR_A2, 0, 1)
 
 
 def test_replication_rng_rejects_non_integer_seeds():
-    for seed, index in ((1.5, 0), (1, 2.0)):
-        with pytest.raises(TypeError):
+    for seed, index in ((1.5, 0), (1, 2.0), (True, 0), (1, False)):
+        with pytest.raises(TypeError, match="must be an integer"):
             replication_rng(seed, index)
     a = replication_rng(np.int64(3), np.int64(1)).random(4)
     assert np.array_equal(a, replication_rng(3, 1).random(4))
@@ -95,30 +107,29 @@ def test_replication_rng_rejects_non_integer_seeds():
 def test_order_statistic_tracks_population_quantile():
     # the k-th largest of n draws sits near the upper k/n quantile; this ties
     # the sampler to the quantile function through an independent route
-    from tailshift.tail_core import order_statistic
-
-    x = burr_sample(100_000, BURR_A2, seed=19)
-    for k in (100, 1000, 5000):
-        ratio = order_statistic(x, k) / burr_quantile(k / x.size, BURR_A2)
+    x = iid_sample(BURR_A2, 100_000, 19)
+    ks = [100, 1000, 5000]
+    for k, kth_largest in zip(ks, tail_grid(x, ks).threshold):
+        ratio = kth_largest / burr_quantile(k / x.size, BURR_A2)
         assert ratio == pytest.approx(1.0, abs=0.1)
 
 
 def test_burr_sample_ks_against_analytic_cdf():
-    x = burr_sample(10_000, BurrParams(2.0, 1.0, -1.0), seed=5)
+    x = iid_sample(BurrParams(2.0, 1.0, -1.0), 10_000, 5)
     result = kstest(x, burr_law(BurrParams(2.0, 1.0, -1.0)).cdf)
     assert result.pvalue > 0.01
 
 
 def test_t_sample_cauchy_median():
     # |Cauchy| has median tan(pi/4) = 1
-    x = t_sample(100_000, TDistParams(1.0), seed=11)
+    x = iid_sample(TDistParams(1.0), 100_000, 11)
     assert np.median(np.abs(x)) == pytest.approx(1.0, abs=0.03)
 
 
 def test_t_sample_tail_slope():
     # log-log regression of the empirical survivor on log-spaced ranks in
     # the top decile; the tail exponent for nu = 3 is 3
-    x = np.abs(t_sample(100_000, T3, seed=42))
+    x = np.abs(iid_sample(T3, 100_000, 42))
     srt = np.sort(x)[::-1]
     ranks = np.unique(np.geomspace(10, 10_000, 60).astype(int))
     slope = np.polyfit(np.log(srt[ranks - 1]), np.log(ranks / x.size), 1)[0]
@@ -126,11 +137,14 @@ def test_t_sample_tail_slope():
 
 
 def test_t_sample_deterministic_and_validated():
-    assert np.array_equal(t_sample(50, T3, seed=3), t_sample(50, T3, seed=3))
+    assert np.array_equal(iid_sample(T3, 50, 3), iid_sample(T3, 50, 3))
     with pytest.raises(ValueError):
         TDistParams(0.0)
+    for bad in (np.inf, np.nan):  # infinite degrees of freedom simulated NaN
+        with pytest.raises(ValueError, match="^nu must be finite"):
+            TDistParams(bad)
     with pytest.raises(ValueError):
-        t_sample(0, T3, seed=3)
+        iid_sample(T3, 0, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +162,9 @@ def test_model_spec_validation():
         ModelSpec("iid", T3, coef=0.3)
     with pytest.raises(ValueError):
         ChangeSpec(tau=1.0, pre=T3, post=T3)
+    for bad in (np.nan, np.inf, -np.inf):  # NaN and inf MA weights simulated NaN and inf
+        with pytest.raises(ValueError, match="^coef must be finite"):
+            ModelSpec("ma1", T3, coef=bad)
 
 
 def test_ma1_zero_coef_is_innovation_series():
@@ -155,13 +172,13 @@ def test_ma1_zero_coef_is_innovation_series():
     # matches the first n+1 draws of the same stream
     n = 200
     path = simulate(ModelSpec("ma1", T3, coef=0.0), n, seed=17)
-    xi = t_sample(n + 1, T3, seed=17)
+    xi = iid_sample(T3, n + 1, 17)
     assert np.array_equal(path, xi[1:])
 
 
 def test_ma1_structure_against_innovations():
     n = 300
-    xi = t_sample(n + 1, T3, seed=23)
+    xi = iid_sample(T3, n + 1, 23)
     path = simulate(ModelSpec("ma1", T3, coef=0.7), n, seed=23)
     assert np.allclose(path, xi[1:] + 0.7 * xi[:-1], rtol=0, atol=0)
 
@@ -169,7 +186,7 @@ def test_ma1_structure_against_innovations():
 def test_ar1_matches_scalar_recursion():
     n = 100
     coef = 0.5
-    xi = t_sample(AR_BURNIN + n, T3, seed=29)
+    xi = iid_sample(T3, AR_BURNIN + n, 29)
     x_prev = 0.0
     expected = []
     for e in xi:
@@ -194,7 +211,7 @@ def test_simulate_change_prefix_matches_pre_law():
     n = 100
     change = ChangeSpec(0.35, BURR_A2, BurrParams.from_alpha(0.8, -1.0))
     path = simulate(ModelSpec("iid", BURR_A2), n, seed=13, change=change)
-    pre = burr_sample(35, BURR_A2, seed=13)
+    pre = iid_sample(BURR_A2, 35, 13)
     assert np.array_equal(path[:35], pre)
     assert path.size == n
 
@@ -204,9 +221,12 @@ def test_change_index_is_floor_of_n_tau():
     # after index 7
     change = ChangeSpec(0.7, BURR_A2, BurrParams.from_alpha(0.8, -1.0))
     path = simulate(ModelSpec("iid", BURR_A2), 10, seed=21, change=change)
-    assert np.array_equal(path[:7], burr_sample(7, BURR_A2, seed=21))
+    assert np.array_equal(path[:7], iid_sample(BURR_A2, 7, 21))
 
 
 def test_simulate_validation():
     with pytest.raises(ValueError):
         simulate(ModelSpec("iid", T3), 0, seed=1)
+    for seed in (True, 1.5):  # a bool seed no longer runs as seed 1
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            simulate(ModelSpec("iid", T3), 5, seed=seed)

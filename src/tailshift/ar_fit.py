@@ -88,9 +88,7 @@ def check_fit_args(n: int, order, method: str, prefix: str = "") -> int:
     """
     if method not in FIT_METHODS:
         raise ValueError(f"{prefix}method must be one of {FIT_METHODS}, got {method!r}")
-    order = as_int(order, prefix + "order")
-    if order < 1:
-        raise ValueError(f"{prefix}order must be at least 1, got {order}")
+    order = as_int(order, prefix + "order", 1)
     if n < order + 2:
         raise ValueError(f"need n >= {prefix}order + 2 = {order + 2}, got n = {n}")
     return order

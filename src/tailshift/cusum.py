@@ -52,9 +52,7 @@ class TailTestConfig:
     use_abs: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "k", as_int(self.k, "k"))
-        if self.k < 1:
-            raise ValueError(f"k must be positive, got {self.k}")
+        object.__setattr__(self, "k", as_int(self.k, "k", 1))
         _check_phi(self.phi)
         if self.adjust not in ADJUST_MODES:
             raise ValueError(f"adjust must be one of {ADJUST_MODES}, got {self.adjust!r}")

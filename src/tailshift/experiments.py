@@ -69,10 +69,8 @@ class SimulationSpec:
     label: str = ""
 
     def __post_init__(self):
-        for name in ("n", "replications", "seed"):
-            object.__setattr__(self, name, as_int(getattr(self, name), name))
-        if self.n < 4:
-            raise ValueError(f"n must be at least 4, got {self.n}")
+        for name, low in (("n", 4), ("replications", 1), ("seed", 0)):
+            object.__setattr__(self, name, as_int(getattr(self, name), name, low))
         # each k, phi, adjust and level is checked as for a single test
         tests = [TailTestConfig(k=k, phi=self.phi, adjust=self.adjust, level=self.level) for k in self.k_grid]
         object.__setattr__(self, "k_grid", tuple(test.k for test in tests))
@@ -86,10 +84,6 @@ class SimulationSpec:
         if self.test == "ar_residual":
             # the AR order and method are checked as for a single fit
             object.__setattr__(self, "ar_order", check_fit_args(self.n, self.ar_order, self.ar_method, "ar_"))
-        if self.replications < 1:
-            raise ValueError(f"replications must be at least 1, got {self.replications}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)

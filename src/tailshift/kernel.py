@@ -25,14 +25,16 @@ class TailGrid(NamedTuple):
     ``threshold`` is the k-th largest value. ``hill_mean`` is NaN where the
     (k+1)-th largest value is 0; ``alpha_hat`` is then NaN as well, and
     ``inf`` where every log excess vanishes. Only with a statistic requested
-    are ``deviations`` (shape ``(K, n)``), ``statistic``, ``l_hat`` and
-    ``scale`` set (no decision at a level); only with the lag-1 adjustment
-    are ``cross`` (summed products of adjacent log excesses, NaN for a zero
-    threshold), ``omega_hat`` and ``chi_hat`` (NaN unless ``alpha_hat`` is
-    finite). ``degenerate`` marks the documented degeneracies of the test,
-    where no outcome exists: ``n < max(4, k + 2)``, a zero (k+1)-th largest
-    value (every outcome reports ``alpha_hat``), and an infinite
-    ``alpha_hat`` under the log-excess scaling.
+    are ``deviations`` (shape ``(K, n)``), ``statistic``, ``l_hat``, ``scale``
+    (no decision at a level) and ``total`` set; ``total`` is the count of strict
+    exceedances under ``indicator`` (ties lower it below ``k - 1``) and the summed
+    log excesses under ``log_excess`` (meaningless for a zero threshold). Only with
+    the lag-1 adjustment are ``cross`` (summed products of adjacent log excesses,
+    NaN for a zero threshold), ``omega_hat`` and ``chi_hat`` (NaN unless
+    ``alpha_hat`` is finite). ``degenerate`` marks the documented degeneracies
+    of the test, where no outcome exists: ``n < max(4, k + 2)``, a zero
+    (k+1)-th largest value (every outcome reports ``alpha_hat``), and an
+    infinite ``alpha_hat`` under the log-excess scaling.
     """
 
     ks: np.ndarray
@@ -41,6 +43,7 @@ class TailGrid(NamedTuple):
     alpha_hat: np.ndarray
     degenerate: np.ndarray
     deviations: np.ndarray | None = None
+    total: np.ndarray | None = None
     statistic: np.ndarray | None = None
     l_hat: np.ndarray | None = None
     scale: np.ndarray | None = None
@@ -59,6 +62,11 @@ def scale(phi: str, adjust: str, alpha_hat, omega_hat=None, chi_hat=None):
     if phi == "indicator":
         return np.ones(np.shape(alpha_hat)) if adjust == "iid" else 1.0 / np.sqrt(1.0 + omega_hat)
     return alpha_hat / np.sqrt(2.0 if adjust == "iid" else 2.0 + chi_hat)
+
+
+def chi(alpha_hat, cross, k):
+    """Lag-1 inflation of the log-excess statistic, ``2 * alpha_hat * cross / k``; elementwise on arrays."""
+    return 2.0 * alpha_hat * cross / k
 
 
 def excess_sizes(top: np.ndarray, threshold: np.ndarray) -> np.ndarray:
@@ -121,7 +129,7 @@ def tail_grid(v: np.ndarray, ks, phi: str | None = None, adjust: str = "iid") ->
         cross = (sizes[:, :-1] * sizes[:, 1:] * linked).sum(axis=1)
         if not threshold.all():
             cross[threshold <= 0.0] = np.nan
-        out.update(cross=cross, omega_hat=2.0 * joint / kk, chi_hat=2.0 * finite_alpha * cross / kk)
+        out.update(cross=cross, omega_hat=2.0 * joint / kk, chi_hat=chi(finite_alpha, cross, kk))
     if phi is None:
         return TailGrid(**out)
 
@@ -144,4 +152,4 @@ def tail_grid(v: np.ndarray, ks, phi: str | None = None, adjust: str = "iid") ->
     statistic = abs_d.max(axis=1) / np.sqrt(kk)
     del abs_d
     scaling = scale(phi, adjust, finite_alpha, out.get("omega_hat"), out.get("chi_hat"))
-    return TailGrid(**out, deviations=d, statistic=statistic, l_hat=l_idx + 1, scale=scaling)
+    return TailGrid(**out, deviations=d, total=total, statistic=statistic, l_hat=l_idx + 1, scale=scaling)

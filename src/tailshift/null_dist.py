@@ -14,6 +14,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import kolmogi
 
+from .tail_core import as_int
 from .variates import as_generator, replication_rng
 
 __all__ = [
@@ -55,8 +56,7 @@ def simulate_L(n_points: int, seed=None) -> float:
     deviation of their partial sums from the proportional share of the total,
     scaled by ``1 / sqrt(n_points)``.
     """
-    if n_points < 2:
-        raise ValueError(f"n_points must be at least 2, got {n_points}")
+    n_points = as_int(n_points, "n_points", 2)
     rng = as_generator(seed)
     eps = rng.standard_normal(n_points)
     partial = np.cumsum(eps)
@@ -80,8 +80,7 @@ def mc_critical_values(
         raise ValueError("levels must be non-empty")
     if any(not 0.0 < lv < 1.0 for lv in levels):
         raise ValueError(f"levels must lie in (0, 1), got {levels}")
-    if n_rep < 100:
-        raise ValueError(f"n_rep must be at least 100, got {n_rep}")
+    n_rep = as_int(n_rep, "n_rep", 100)
     draws = np.empty(n_rep)
     for r in range(n_rep):
         draws[r] = simulate_L(n_points, replication_rng(seed, r))

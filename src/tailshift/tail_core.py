@@ -26,9 +26,7 @@ __all__ = [
     "HillEstimate",
     "estimate_chi",
     "estimate_omega",
-    "excess_indicators",
     "hill",
-    "log_excesses",
     "nonneg_view",
 ]
 
@@ -72,11 +70,15 @@ def nonneg_view(x, use_abs: bool = True) -> np.ndarray:
     return v
 
 
-def as_int(value, name: str) -> int:
-    """``value`` as a Python int; bools and values of a non-integer type are rejected."""
+def as_int(value, name: str, low: int | None = None) -> int:
+    """``value`` as a Python int of at least ``low``; bools and values of a non-integer type are rejected."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise TypeError(f"{name} must be an integer, got {value!r} of type {type(value).__name__}")
-    return int(value)
+    value = int(value)
+    if low is not None and value < low:
+        rule = "non-negative" if low == 0 else f"at least {low}"
+        raise ValueError(f"{name} must be {rule}, got {value}")
+    return value
 
 
 def _zero_threshold(k: int) -> DegenerateThresholdError:
@@ -121,24 +123,6 @@ def hill(x, k: int, use_abs: bool = True) -> HillEstimate:
     return HillEstimate(hill_mean=float(grid.hill_mean[0]), alpha_hat=float(grid.alpha_hat[0]), k=int(k))
 
 
-def excess_indicators(x, k: int, use_abs: bool = True) -> np.ndarray:
-    """0/1 array marking values strictly above the k-th largest value.
-
-    With all values distinct the indicators sum to ``k - 1`` (the threshold
-    itself is excluded); ties at the threshold lower the sum further.
-    """
-    v, grid = _at_k(x, k, use_abs=use_abs)
-    return (v > grid.threshold[0]).astype(np.int64)
-
-
-def log_excesses(x, k: int, use_abs: bool = True) -> np.ndarray:
-    """Positive parts of ``log X_i - log X_(k)``; requires a positive threshold."""
-    v, grid = _at_k(x, k, use_abs=use_abs)
-    if grid.threshold[0] <= 0.0:
-        raise _zero_threshold(k)
-    return kernel.excess_sizes(v, grid.threshold)[0]
-
-
 def estimate_omega(x, k: int, use_abs: bool = True) -> float:
     """Joint-exceedance estimate of the variance inflation of the indicator statistic.
 
@@ -158,7 +142,7 @@ def estimate_chi(x, k: int, alpha_hat: float, use_abs: bool = True) -> float:
         raise DegenerateThresholdError(
             f"alpha_hat must be finite and positive, got {alpha_hat}"
         )
-    total = float(_at_k(x, k, adjust="lag1", use_abs=use_abs)[1].cross[0])
-    if np.isnan(total):
+    cross = float(_at_k(x, k, adjust="lag1", use_abs=use_abs)[1].cross[0])
+    if np.isnan(cross):
         raise _zero_threshold(k)
-    return 2.0 * alpha_hat * total / k
+    return kernel.chi(alpha_hat, cross, k)

@@ -48,7 +48,7 @@ def as_generator(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     if seed is not None:
-        seed = as_int(seed, "seed")
+        seed = as_int(seed, "seed", 0)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
@@ -60,7 +60,7 @@ def replication_rng(seed: int, index: int) -> np.random.Generator:
     harness runs serially or fans replications out to workers. Both arguments
     must be integers; a bool or a float is a ``TypeError``, never truncated.
     """
-    seq = np.random.SeedSequence((as_int(seed, "seed"), as_int(index, "index")))
+    seq = np.random.SeedSequence((as_int(seed, "seed", 0), as_int(index, "index", 0)))
     return np.random.Generator(np.random.Philox(seq))
 
 
@@ -188,8 +188,7 @@ def simulate(model: ModelSpec, n: int, seed=None, change: ChangeSpec | None = No
     presample/burn-in and pre-change innovations first, then post-change --
     so a given ``(model, n, seed, change)`` always yields the same path.
     """
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    n = as_int(n, "n", 1)
     rng = as_generator(seed)
     if change is not None:
         # the epsilon keeps floor(10 * 0.7) = 7: n*tau lands a few ulps below

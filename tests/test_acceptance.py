@@ -13,8 +13,9 @@ from oracles import cusum_oracle, hill_oracle, kolmogorov_quantile, pareto_sampl
 from tailshift.ar_fit import fit_ar
 from tailshift.cusum import TailTestConfig, cusum_statistic, run_test
 from tailshift.experiments import SimulationSpec, run_table, table_specs
+from tailshift.kernel import tail_grid
 from tailshift.null_dist import analytic_quantile
-from tailshift.tail_core import excess_indicators, hill
+from tailshift.tail_core import hill
 from tailshift.variates import (
     BurrParams,
     ChangeSpec,
@@ -181,7 +182,7 @@ def test_criterion_7_property_suites():
     for _ in range(50):
         x = rng.permutation(np.arange(1.0, 41.0))[:30]
         for k in (1, 5, 29):
-            ok_sum &= int(excess_indicators(x, k).sum()) == k - 1
+            ok_sum &= int(tail_grid(x, [k], "indicator").total[0]) == k - 1
     checks.append(("indicator sum k-1", ok_sum))
 
     # (d) the deviation process returns to zero

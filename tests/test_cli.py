@@ -175,6 +175,9 @@ def test_critical_values_mc(capsys):
     assert values[0] < values[1] < values[2]
     assert "mc(paths=1000" in lines[1]
     assert values[1] == pytest.approx(1.358, abs=0.12)
+    assert main(["critical-values", "--mc", "--paths", "10", "--reps", "100", "--seed", "-2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: seed must be non-negative, got -2\n"
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +245,10 @@ def test_simulate_models_and_change(capsys):
         assert main(["simulate", "--model", *flags, "--n", "10", "--seed", "1"]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith(f"error: {field} must be finite")
+    # a negative seed is named, not numpy's "expected non-negative integer"
+    assert main(["simulate", "--model", "ma1-t", "--nu", "3", "--coef", "0.5", "--n", "10", "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: seed must be non-negative, got -1\n"
 
 
 def test_simulate_pipes_into_test(tmp_path, capsys):

@@ -115,3 +115,19 @@ def test_kernel_imports_no_package_module():
             assert node.level == 0 and not (node.module or "").startswith("tailshift"), ast.unparse(node)
         elif isinstance(node, ast.Import):
             assert not any(alias.name.startswith("tailshift") for alias in node.names), ast.unparse(node)
+
+
+def test_total_hand_cases():
+    # X_(2) = X_(3) = 2 tie: only 4 exceeds either threshold, one exceedance instead of k - 1
+    v = np.asarray([1.0, 2.0, 4.0, 2.0])
+    assert tail_grid(v, [2, 3], "indicator").total.tolist() == [1.0, 1.0]
+    assert tail_grid(v, [2, 3], "log_excess").total.tolist() == [math.log(2.0)] * 2
+    # a zero threshold X_(3) = 0 counts every positive value
+    v = np.asarray([3.0, 0.0, 0.0, 2.0, 0.0])
+    assert tail_grid(v, [1, 2, 3], "indicator", "lag1").total.tolist() == [0.0, 1.0, 2.0]
+    grid = tail_grid(v, [1, 2, 3], "log_excess")
+    assert grid.total[:2].tolist() == [0.0, math.log(1.5)]
+    assert grid.degenerate[2]  # no log excesses over a zero threshold: the row is flagged
+    # without a statistic there is no row total
+    assert tail_grid(v, [1, 2]).total is None
+    assert tail_grid(v, [1, 2], adjust="lag1").total is None

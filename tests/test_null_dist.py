@@ -129,6 +129,14 @@ def test_mc_validation():
     for seed in (1.5, True):  # not silently run as seed 1
         with pytest.raises(TypeError, match="seed must be an integer"):
             mc_critical_values([0.95], n_points=10, n_rep=100, seed=seed)
+    with pytest.raises(ValueError, match="^seed must be non-negative, got -2$"):
+        mc_critical_values([0.95], n_points=10, n_rep=100, seed=-2)
+    with pytest.raises(TypeError, match="^n_points must be an integer"):
+        mc_critical_values([0.95], n_points=10.0, n_rep=100)
+    with pytest.raises(TypeError, match="^n_rep must be an integer"):
+        mc_critical_values([0.95], n_points=10, n_rep=100.0)
+    with pytest.raises(TypeError, match="^n_points must be an integer"):
+        simulate_L(10.0, seed=1)
 
 
 # ---------------------------------------------------------------------------

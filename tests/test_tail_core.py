@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import hill_oracle, pareto_sample
+from tailshift.cusum import deviation_process
 from tailshift.tail_core import (
     DegenerateThresholdError,
+    _at_k,
     estimate_chi,
     estimate_omega,
-    excess_indicators,
     hill,
-    log_excesses,
     nonneg_view,
 )
 from tailshift.variates import replication_rng
@@ -27,6 +27,11 @@ def series_and_k():
     return positive_series.flatmap(
         lambda xs: st.tuples(st.just(xs), st.integers(min_value=1, max_value=len(xs) - 1))
     )
+
+
+def total(x, k, phi="indicator"):
+    """The kernel's row total at ``k``: the exceedance count or the summed log excesses."""
+    return float(_at_k(x, k, phi)[1].total[0])
 
 
 # ---------------------------------------------------------------------------
@@ -89,12 +94,15 @@ def test_hill_single_pareto_run_is_in_band():
 
 
 # ---------------------------------------------------------------------------
-# excess indicators / log excesses
+# exceedances and log excesses, read from the kernel row
 # ---------------------------------------------------------------------------
 
 def test_excess_indicators_hand_cases():
-    assert excess_indicators([5, 1, 2, 3], 2).tolist() == [1, 0, 0, 0]
-    assert excess_indicators([9.0, 9.0, 9.0], 1).tolist() == [0, 0, 0]
+    # only 5 exceeds X_(2) = 3: the path steps up by 1 - 1/4 at l = 1, then down by 1/4
+    assert total([5, 1, 2, 3], 2) == 1.0
+    assert deviation_process([5, 1, 2, 3], 2).tolist() == [0.75, 0.5, 0.25, 0.0]
+    assert total([9.0, 9.0, 9.0], 1) == 0.0
+    assert deviation_process([9.0, 9.0, 9.0], 1).tolist() == [0.0, 0.0, 0.0]
 
 
 @settings(max_examples=200)
@@ -103,25 +111,28 @@ def test_excess_indicator_sum_is_k_minus_1_without_ties(case):
     xs, k = case
     if len(set(xs)) != len(xs):
         xs = [x + i * 1e-3 for i, x in enumerate(xs)]  # break ties deterministically
-    assert int(excess_indicators(xs, k).sum()) == k - 1
+    assert total(xs, k) == k - 1
 
 
 @settings(max_examples=100)
 @given(series_and_k())
 def test_excess_indicators_rank_invariance(case):
     xs, k = case
-    base = excess_indicators(xs, k)
+    base = deviation_process(xs, k)
     v = np.asarray(xs)
     for transformed in (v + 2.5, np.sqrt(v), v**3, np.log1p(v)):
-        assert np.array_equal(excess_indicators(transformed, k), base)
+        assert np.array_equal(deviation_process(transformed, k), base)
 
 
 def test_log_excesses_hand_case():
-    out = log_excesses([5, 1, 2, 3], 2)
-    assert out == pytest.approx([math.log(5 / 3), 0.0, 0.0, 0.0], abs=1e-12)
-    assert np.array_equal(log_excesses([2.0, 2.0, 2.0], 1), np.zeros(3))
+    # one log excess, log(5/3) at l = 1
+    assert total([5, 1, 2, 3], 2, "log_excess") == pytest.approx(math.log(5 / 3), abs=1e-12)
+    out = deviation_process([5, 1, 2, 3], 2, "log_excess")
+    assert out == pytest.approx([math.log(5 / 3) * (1 - l / 4) for l in range(1, 5)], abs=1e-12)
+    assert total([2.0, 2.0, 2.0], 1, "log_excess") == 0.0
+    assert np.array_equal(deviation_process([2.0, 2.0, 2.0], 1, "log_excess"), np.zeros(3))
     with pytest.raises(DegenerateThresholdError):
-        log_excesses([5.0, 0.0, 0.0], 2)
+        deviation_process([5.0, 0.0, 0.0], 2, "log_excess")
 
 
 @settings(max_examples=100)
@@ -130,8 +141,10 @@ def test_scale_invariance_exact_for_power_of_two(case, exponent):
     xs, k = case
     c = 2.0**exponent
     scaled = [c * x for x in xs]
-    assert np.array_equal(excess_indicators(scaled, k), excess_indicators(xs, k))
-    assert log_excesses(scaled, k) == pytest.approx(log_excesses(xs, k), rel=1e-12, abs=1e-12)
+    assert np.array_equal(deviation_process(scaled, k), deviation_process(xs, k))
+    assert deviation_process(scaled, k, "log_excess") == pytest.approx(
+        deviation_process(xs, k, "log_excess"), rel=1e-12, abs=1e-12
+    )
     assert hill(scaled, k).hill_mean == pytest.approx(hill(xs, k).hill_mean, rel=1e-12, abs=1e-12)
     assert estimate_omega(scaled, k) == estimate_omega(xs, k)
     assert estimate_chi(scaled, k, 1.3) == pytest.approx(estimate_chi(xs, k, 1.3), rel=1e-12, abs=1e-12)

@@ -100,6 +100,10 @@ def test_replication_rng_rejects_non_integer_seeds():
     for seed, index in ((1.5, 0), (1, 2.0), (True, 0), (1, False)):
         with pytest.raises(TypeError, match="must be an integer"):
             replication_rng(seed, index)
+    # a negative seed or index is named, not numpy's "expected non-negative integer"
+    for seed, index, name in ((-1, 0, "seed"), (1, -2, "index")):
+        with pytest.raises(ValueError, match=f"^{name} must be non-negative, got -"):
+            replication_rng(seed, index)
     a = replication_rng(np.int64(3), np.int64(1)).random(4)
     assert np.array_equal(a, replication_rng(3, 1).random(4))
 
@@ -230,3 +234,7 @@ def test_simulate_validation():
     for seed in (True, 1.5):  # a bool seed no longer runs as seed 1
         with pytest.raises(TypeError, match="seed must be an integer"):
             simulate(ModelSpec("iid", T3), 5, seed=seed)
+    with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+        simulate(ModelSpec("iid", T3), 5, seed=-1)
+    with pytest.raises(TypeError, match="^n must be an integer"):
+        simulate(ModelSpec("iid", T3), 5.0, seed=1)

@@ -79,10 +79,13 @@ def read_series(path: str) -> np.ndarray:
 
 def _emit_outcome(outcome: TestOutcome, fmt: str, extra: dict | None = None) -> None:
     extra = extra or {}
+    record = asdict(outcome)  # the fields in declaration order
+    # the diagnostics come last in both formats, after the ar-test extras too
+    diagnostics = {key: record.pop(key) for key in ("threshold", "n_exceed")}
     if fmt == "structured":
-        print(json.dumps({**asdict(outcome), **extra}))  # the fields in declaration order
+        print(json.dumps({**record, **extra, **diagnostics}))
         return
-    for key, value in {**extra, **asdict(outcome)}.items():
+    for key, value in {**extra, **record, **diagnostics}.items():
         if key != "reject" and value is not None:
             print(f"{key}: {value:.6g}" if isinstance(value, float) else f"{key}: {value}")
     print("decision: change detected" if outcome.reject else "decision: no change detected")

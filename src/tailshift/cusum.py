@@ -69,7 +69,10 @@ class TestOutcome:
     attaining the maximum deviation and ``tau_hat = l_hat / n`` the implied
     change-point fraction. ``omega_hat``/``chi_hat`` are filled only in lag1
     mode, and ``chi_hat`` stays None there when ``alpha_hat`` is infinite
-    (the indicator scaling does not use it).
+    (the indicator scaling does not use it). ``threshold`` is the k-th largest
+    viewed value and ``n_exceed`` the number of values strictly above it:
+    ties at the threshold bring it below ``k - 1``, while the statistic is
+    still divided by ``sqrt(k)``.
     """
 
     n: int
@@ -87,11 +90,13 @@ class TestOutcome:
     reject: bool
     l_hat: int
     tau_hat: float
+    threshold: float
+    n_exceed: int
 
 
-def _one_k(x, k: int, phi: str, use_abs: bool) -> kernel.TailGrid:
+def _one_k(x, k: int, phi: str, use_abs: bool, path: bool = False) -> kernel.TailGrid:
     _check_phi(phi)
-    grid = _at_k(x, k, phi, use_abs=use_abs)[1]
+    grid = _at_k(x, k, phi, use_abs=use_abs, path=path)[1]
     if phi == "log_excess" and grid.threshold[0] <= 0.0:
         raise _zero_threshold(k)
     return grid
@@ -104,7 +109,7 @@ def deviation_process(x, k: int, phi: str = "indicator", use_abs: bool = True) -
     times their total, so ``D(n) = 0`` up to rounding. The threshold is the
     k-th largest viewed value and must be positive for the log transform.
     """
-    return _one_k(x, k, phi, use_abs).deviations[0]
+    return _one_k(x, k, phi, use_abs, path=True).deviations[0]
 
 
 def cusum_statistic(x, k: int, phi: str = "indicator", use_abs: bool = True) -> tuple[float, int]:
@@ -154,4 +159,6 @@ def run_test(x, cfg: TailTestConfig) -> TestOutcome:
         reject=scaled >= critical_value,
         l_hat=l_hat,
         tau_hat=l_hat / n,
+        threshold=float(grid.threshold[0]),
+        n_exceed=int(grid.n_exceed[0]),
     )

@@ -90,11 +90,12 @@ def _zero_floor(k: int) -> DegenerateThresholdError:
 
 
 def _at_k(x, k: int, phi: str | None = None, adjust: str = "iid", use_abs: bool = True,
-          test: bool = False) -> tuple[np.ndarray, kernel.TailGrid]:
+          test: bool = False, path: bool = False) -> tuple[np.ndarray, kernel.TailGrid]:
     """The non-negative view of ``x`` and the one-element kernel grid at ``k``.
 
     ``k`` must be an integer with ``1 <= k <= n - 1``; with ``test`` set, the
     series must instead hold the ``max(4, k + 2)`` values the change test needs.
+    ``path`` asks the kernel for the full deviation process.
     """
     v = nonneg_view(x, use_abs)
     n = v.size
@@ -103,7 +104,7 @@ def _at_k(x, k: int, phi: str | None = None, adjust: str = "iid", use_abs: bool 
             raise ValueError(f"need n >= max(4, k + 2) = {max(4, k + 2)}, got n = {n}")
     elif not 1 <= as_int(k, "k") <= n - 1:
         raise ValueError(f"k must satisfy 1 <= k <= n - 1 = {n - 1}, got {k}")
-    return v, kernel.tail_grid(v, [k], phi, adjust)
+    return v, kernel.tail_grid(v, [k], phi, adjust, path)
 
 
 def hill(x, k: int, use_abs: bool = True) -> HillEstimate:

@@ -5,6 +5,7 @@ pass; each criterion's tolerances are stated inline next to its assertions.
 """
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -161,7 +162,10 @@ def test_criterion_7_property_suites():
         for phi, adjust in (("indicator", "iid"), ("log_excess", "lag1")):
             cfg = TailTestConfig(k=8, phi=phi, adjust=adjust)
             base = run_test(x, cfg)
-            ok_scale &= run_test((2.0**7) * x, cfg) == base
+            scaled = run_test((2.0**7) * x, cfg)
+            # the threshold is in data units and scales exactly; every other field is invariant
+            ok_scale &= scaled.threshold == (2.0**7) * base.threshold
+            ok_scale &= replace(scaled, threshold=base.threshold) == base
             loose = run_test(3.0 * x, cfg)
             ok_scale &= math.isclose(loose.scaled_statistic, base.scaled_statistic, rel_tol=1e-9)
             ok_scale &= loose.l_hat == base.l_hat and loose.reject == base.reject

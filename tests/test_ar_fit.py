@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -157,4 +159,6 @@ def test_residual_cusum_scale_invariance():
     x = simulate(AR_MODEL, 400, seed=11)
     base = residual_cusum(x, order=1, k=30)
     scaled = residual_cusum((2.0**8) * x, order=1, k=30)
-    assert scaled == base  # residuals scale linearly, the outcome not at all
+    # residuals scale linearly: the threshold with them, the rest of the outcome not at all
+    assert scaled.threshold == (2.0**8) * base.threshold
+    assert replace(scaled, threshold=base.threshold) == base

@@ -48,6 +48,7 @@ def test_hand_series_no_change(tmp_path, capsys):
     assert code == 0
     assert "decision: no change detected" in out
     assert "scaled_statistic: 0.53033" in out
+    assert out.splitlines()[-3:-1] == ["threshold: 3", "n_exceed: 1"]
 
 
 def test_structured_output_round_trips(tmp_path, capsys):
@@ -60,6 +61,9 @@ def test_structured_output_round_trips(tmp_path, capsys):
     assert record["omega_hat"] is None
     assert record["reject"] is False
     assert record["tau_hat"] == 0.25
+    # the diagnostics come after every other field
+    assert list(record)[-3:] == ["tau_hat", "threshold", "n_exceed"]
+    assert (record["threshold"], record["n_exceed"]) == (3.0, 1)
     # bit-identical rerun
     assert main(["test", path, "--k", "2", "--format", "structured"]) == 0
     assert capsys.readouterr().out == first
@@ -135,8 +139,12 @@ def test_ar_test_runs(tmp_path, capsys):
     assert code in (0, 2)
     assert record["n"] == 499
     assert record["order"] == 1 and record["method"] == "ols"
+    assert list(record)[-4:] == ["order", "method", "threshold", "n_exceed"]  # diagnostics last
+    assert record["n_exceed"] <= 39
     assert main(["ar-test", path, "--k", "40", "--order", "1"]) == code  # human format, same decision
-    capsys.readouterr()
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[-3:-1]] == ["threshold", "n_exceed"]
+    assert lines[-2] == f"n_exceed: {record['n_exceed']}"
     assert main(["ar-test", path, "--k", "40", "--order", "1", "--method", "yule-walker"]) in (0, 2)
     capsys.readouterr()
 

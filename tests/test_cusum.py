@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import cusum_oracle
 from tailshift.cusum import TailTestConfig, cusum_statistic, deviation_process, run_test
-from tailshift.kernel import scale
+from tailshift.kernel import scale, tail_grid
 from tailshift.tail_core import DegenerateThresholdError
 from tailshift.variates import BurrParams, ChangeSpec, ModelSpec, replication_rng, simulate
 
@@ -158,6 +159,27 @@ def test_run_test_hand_outcome():
     assert out.alpha_hat == pytest.approx(2.0 / (math.log(5 / 2) + math.log(3 / 2)), rel=1e-12)
 
 
+def test_outcome_threshold_and_exceedance_count():
+    for phi in ("indicator", "log_excess"):
+        out = run_test(HAND, TailTestConfig(k=2, phi=phi))
+        assert (out.threshold, out.n_exceed) == (3.0, 1)
+        # X_(3) = X_(2) = 3 tie: only 5 exceeds, one value instead of k - 1 = 2
+        out = run_test([5.0, 3.0, 1.0, 3.0, 2.0], TailTestConfig(k=3, phi=phi))
+        assert (out.threshold, out.n_exceed) == (3.0, 1)
+    # integer-rounded t(3) data: ties at the threshold cut the count below k - 1
+    x = np.round(simulate(ModelSpec("iid", _t(3.0)), 1000, seed=3))
+    v = np.abs(x)
+    counts = set()
+    for phi in ("indicator", "log_excess"):
+        for adjust in ("iid", "lag1"):
+            out = run_test(x, TailTestConfig(k=50, phi=phi, adjust=adjust))
+            assert out.threshold == np.sort(v)[-50]
+            assert out.n_exceed == np.count_nonzero(v > out.threshold)
+            counts.add(out.n_exceed)
+    assert len(counts) == 1 and out.n_exceed < 49
+    assert tail_grid(v, [50], "indicator").total[0] == out.n_exceed  # the count is the indicator total
+
+
 def test_run_test_outcome_invariants():
     x = np.abs(simulate(ModelSpec("ma1", _t(2.0), coef=0.5), 400, seed=15))
     for phi in ("indicator", "log_excess"):
@@ -200,7 +222,8 @@ def test_run_test_scale_invariance_full_outcome():
     base = run_test(x, TailTestConfig(k=10, phi="log_excess", adjust="lag1"))
     for c in (2.0**9, 2.0**-7):
         scaled = run_test(c * x, TailTestConfig(k=10, phi="log_excess", adjust="lag1"))
-        assert scaled == base  # power-of-two scaling is exact in floats
+        assert scaled.threshold == c * base.threshold  # the threshold is the one scaled field
+        assert replace(scaled, threshold=base.threshold) == base  # power-of-two scaling is exact in floats
     loose = run_test(3.7 * x, TailTestConfig(k=10, phi="log_excess", adjust="lag1"))
     for name in ("alpha_hat", "statistic", "scale_factor", "scaled_statistic", "tau_hat"):
         assert getattr(loose, name) == pytest.approx(getattr(base, name), rel=1e-9)

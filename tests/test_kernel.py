@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import OracleDegenerate, tail_test_oracle
-from tailshift.cusum import TailTestConfig, run_test
+from tailshift.cusum import TailTestConfig, cusum_statistic, deviation_process, run_test
 from tailshift.kernel import tail_grid
 from tailshift.tail_core import DegenerateThresholdError, _at_k, estimate_omega, hill
 from tailshift.variates import ModelSpec, TDistParams, simulate
@@ -52,13 +52,60 @@ def test_grid_matches_oracle_at_every_k(xs, data):
                     assert _close(grid.chi_hat[j], want["chi_hat"])
 
 
+def _path_extremum(x, k, phi):
+    """Statistic and first maximizer read off the full deviation process."""
+    abs_d = np.abs(deviation_process(x, k, phi))
+    return abs_d.max() / np.sqrt(k), int(abs_d.argmax()) + 1
+
+
+@settings(max_examples=300)
+@given(st.lists(st.sampled_from([0.0, 1.0, 2.0, 5.0]), min_size=2, max_size=12))
+def test_breakpoints_match_the_full_path(xs):
+    # the kernel reads D only at the segment ends; ties make long flat stretches
+    for k in range(1, len(xs)):
+        for phi in ("indicator", "log_excess"):
+            try:
+                want = _path_extremum(xs, k, phi)
+            except DegenerateThresholdError:
+                continue  # zero threshold: no log excesses, and no statistic either
+            assert cusum_statistic(xs, k, phi) == want, (k, phi)
+
+
+EDGE_CASES = [
+    ([5.0, 1.0, 5.0, 1.0, 5.0], 4),  # the first value exceeds: the segment before it is empty
+    ([1.0, 2.0, 0.0, 1.0, 2.0, 5.0], 2),  # the last value exceeds
+    ([2.0] * 5, 2),  # all tied: no exceedance, total == 0
+    ([5.0, 1.0, 1.0, 5.0], 3),  # D reaches +M at l = 1 and -M at l = 3
+    ([1.0, 5.0, 5.0, 1.0], 3),  # and the mirror
+]
+
+
+@pytest.mark.parametrize("phi", ["indicator", "log_excess"])
+@pytest.mark.parametrize("x, k", EDGE_CASES)
+def test_breakpoint_edge_cases(x, k, phi):
+    assert cusum_statistic(x, k, phi) == _path_extremum(x, k, phi)
+
+
+@pytest.mark.parametrize("phi", ["indicator", "log_excess"])
+def test_breakpoint_edge_case_values(phi):
+    # the last value exceeds: D falls until l = n - 1 and jumps back to 0 at n
+    assert cusum_statistic([1.0, 2.0, 0.0, 1.0, 2.0, 5.0], 2, phi)[1] == 5
+    # D == 0 everywhere: the first position is the maximizer
+    assert cusum_statistic([2.0] * 5, 2, phi) == (0.0, 1)
+    for x in ([5.0, 1.0, 1.0, 5.0], [1.0, 5.0, 5.0, 1.0]):
+        d = deviation_process(x, 3, phi)
+        assert d.max() == pytest.approx(-d.min(), rel=1e-15) and d.max() > 0.0
+        if phi == "indicator":  # exact counts: +M and -M tie and the first one wins
+            assert d.max() == -d.min() and cusum_statistic(x, 3, phi)[1] == 1
+
+
 def test_grid_rows_equal_one_element_grids():
     x = np.abs(simulate(ModelSpec("ma1", TDistParams(2.0), coef=0.5), 1000, seed=5))
     ks = list(range(10, 101, 10))
     for phi, adjust in PAIRS:
-        grid = tail_grid(x, ks, phi, adjust)
+        grid = tail_grid(x, ks, phi, adjust, path=True)
         for j, k in enumerate(ks):
-            one = tail_grid(x, [k], phi, adjust)
+            one = tail_grid(x, [k], phi, adjust, path=True)
             assert np.array_equal(grid.deviations[j], one.deviations[0])
             assert (grid.statistic[j], grid.l_hat[j]) == (one.statistic[0], one.l_hat[0])
             assert grid.alpha_hat[j] == pytest.approx(one.alpha_hat[0], rel=1e-14)

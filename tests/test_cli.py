@@ -1,11 +1,16 @@
 import io
 import json
+import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tailshift import cli
 from tailshift.cli import main, read_series
 from tailshift.variates import BurrParams, ChangeSpec, ModelSpec, replication_rng, simulate
 
@@ -36,6 +41,114 @@ def test_read_series_reports_line_number(tmp_path):
 def test_unparseable_line_exits_one(tmp_path, capsys):
     assert main(["test", write(tmp_path, "1\nups\n3\n4\n"), "--k", "2"]) == 1
     assert "line 2" in capsys.readouterr().err
+
+
+def test_plain_file_takes_numpys_reader(tmp_path):
+    path = write(tmp_path, "1.5\n\n-2\n  3e2 \n")
+    assert cli._read_file_fast(path).tolist() == [1.5, -2.0, 300.0]
+    assert cli._read_file_fast(write(tmp_path, "1\n# c\n2\n", "c.txt")) is None  # a '#' takes the loop
+
+
+def test_pipes_are_read_once(tmp_path):
+    text = "1.5\n# c\n-2\n3e2\n"
+    r, w = os.pipe()  # an anonymous pipe, as `tailshift test <(cmd)` passes it
+    try:
+        os.write(w, text.encode())
+        os.close(w)
+        assert read_series(f"/dev/fd/{r}").tolist() == [1.5, -2.0, 300.0]
+    finally:
+        os.close(r)
+    fifo = tmp_path / "series.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+    writer.start()
+    assert read_series(str(fifo)).tolist() == [1.5, -2.0, 300.0]
+    writer.join(timeout=10)
+
+
+@pytest.mark.parametrize("text, line, bad", [
+    ("1 2", 1, "1 2"),                       # numpy's reader: one row of two columns
+    ("1 2\n3 4\n5 6\n7 8\n", 1, "1 2"),      # two columns
+    ("1\n2\n3 4\n5\n", 3, "3 4"),            # ragged
+    ("1\n2\n1.5 # note\n4\n", 3, "1.5 # note"),  # numpy's reader cuts an inline comment
+    ("# a # b\n1\n2 # c\n", 3, "2 # c"),
+])
+def test_lines_the_loop_rejects_fail_with_their_line(tmp_path, text, line, bad):
+    path = write(tmp_path, text)
+    with pytest.raises(ValueError) as info:
+        read_series(path)
+    assert str(info.value) == f"{path}, line {line}: cannot parse {bad!r} as a number"
+    assert cli._read_file_fast(path) is None
+
+
+def test_float_syntax_numpy_rejects_still_reads(tmp_path):
+    path = tmp_path / "series.txt"
+    path.write_text("1_000\n１２\n# c\n  # d\n\n-0.0\n", encoding="utf-8")
+    x = read_series(str(path))
+    assert x.tolist() == [1000.0, 12.0, -0.0] and np.signbit(x[2])
+
+
+def test_compressed_name_is_read_as_plain_text(tmp_path):
+    import gzip
+
+    assert read_series(write(tmp_path, "1\n2\n", name="plain.gz")).tolist() == [1.0, 2.0]
+    packed = tmp_path / "series.txt.gz"
+    packed.write_bytes(gzip.compress(b"1\n2\n3\n4\n"))
+    with pytest.raises(UnicodeDecodeError):  # not decompressed behind the user's back
+        read_series(str(packed))
+
+
+@pytest.mark.parametrize("text", ["", "# only a comment\n\n  # and another\n"])
+def test_empty_input_is_too_short_without_warning(tmp_path, capsys, text):
+    assert main(["test", write(tmp_path, text), "--k", "2"]) == 1
+    assert capsys.readouterr().err == "error: need n >= max(4, k + 2) = 4, got n = 0\n"
+
+
+def test_unreadable_input_messages(tmp_path, capsys):
+    missing = str(tmp_path / "missing.txt")
+    assert main(["test", missing, "--k", "2"]) == 1
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {missing!r}\n"
+    assert main(["test", str(tmp_path), "--k", "2"]) == 1
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+    invalid = tmp_path / "invalid.txt"
+    invalid.write_bytes(b"1\n\xff\n3\n4\n")
+    assert main(["test", str(invalid), "--k", "2"]) == 1
+    assert capsys.readouterr().err == (
+        "error: 'utf-8' codec can't decode byte 0xff in position 2: invalid start byte\n")
+
+
+_LINES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from([
+        "-0.0", "1e999", "-1e999", "nan", "inf", "5e-324", "2.2250738585072014e-308",
+        "", " ", "\t", "\x0c", "\xa0", " \t\xa0 ",
+        "# c", "  # c", "# a # b", "1.5 # c", "\t# 1",
+        "1 2", "1,2", "1_000", "１２", " 3 ", "+4", ".5", "1e5",
+    ]),
+)
+
+
+@pytest.fixture(scope="module")
+def series_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("series")
+
+
+def _outcome(reader, path):
+    try:
+        x = reader(path)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return x.dtype, x.shape, x.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(_LINES, max_size=12), newline=st.sampled_from(["\n", "\r\n", "\r"]),
+       last=st.booleans())
+def test_read_series_matches_the_line_loop(series_dir, lines, newline, last):
+    path = series_dir / "drawn.txt"
+    path.write_bytes((newline.join(lines) + (newline if last else "")).encode("utf-8"))
+    assert _outcome(read_series, str(path)) == _outcome(cli._read_lines, str(path))
 
 
 # ---------------------------------------------------------------------------

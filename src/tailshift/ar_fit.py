@@ -133,5 +133,5 @@ def residual_cusum(
     axis, which trails the original series by ``order`` observations.
     """
     fit = fit_ar(x, order, method)
-    cfg = TailTestConfig(k=k, phi=phi, adjust="iid", level=level, use_abs=True)
+    cfg = TailTestConfig(k=k, phi=phi, adjust="iid", level=level)
     return run_test(fit.residuals, cfg)

@@ -123,7 +123,10 @@ def _emit_outcome(outcome: TestOutcome, fmt: str, extra: dict | None = None) -> 
 
 def _prepare_input(args) -> np.ndarray:
     x = read_series(args.input)
-    if not args.no_abs and np.any(x < 0.0):
+    if np.any(x < 0.0):
+        if args.no_abs:
+            raise ValueError("input contains negative values, which --no-abs rejects; "
+                             "drop --no-abs to test their absolute values")
         print(
             "note: input contains negative values; the test runs on absolute values "
             "(use --no-abs to require non-negative input)",
@@ -134,22 +137,15 @@ def _prepare_input(args) -> np.ndarray:
 
 def cmd_test(args) -> int:
     x = _prepare_input(args)
-    cfg = TailTestConfig(
-        k=args.k,
-        phi=_PHI_BY_FLAG[args.phi],
-        adjust=args.adjust,
-        level=args.level,
-        use_abs=not args.no_abs,
-    )
+    cfg = TailTestConfig(k=args.k, phi=_PHI_BY_FLAG[args.phi], adjust=args.adjust, level=args.level)
     outcome = run_test(x, cfg)
     _emit_outcome(outcome, args.format)
     return 2 if outcome.reject else 0
 
 
 def cmd_ar_test(args) -> int:
-    x = _prepare_input(args)
     outcome = residual_cusum(
-        x,
+        read_series(args.input),
         order=args.order,
         k=args.k,
         phi=_PHI_BY_FLAG[args.phi],
@@ -244,13 +240,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k", type=int, required=True, help="tail sample fraction (no default)")
         p.add_argument("--phi", choices=sorted(_PHI_BY_FLAG), default="indicator")
         p.add_argument("--level", type=float, default=0.05)
-        p.add_argument("--no-abs", action="store_true",
-                       help="require non-negative input instead of taking absolute values")
         p.add_argument("--format", choices=("human", "structured"), default="human")
 
     p_test = sub.add_parser("test", help="tail-index change test on a series")
     add_test_options(p_test)
     p_test.add_argument("--adjust", choices=("iid", "lag1"), default="iid")
+    p_test.add_argument("--no-abs", action="store_true",
+                        help="require non-negative input instead of taking absolute values")
     p_test.set_defaults(func=cmd_test)
 
     p_ar = sub.add_parser("ar-test", help="change test on AR(p) residuals")
@@ -304,13 +300,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if hasattr(args, "seed") and args.seed is None:
-        try:
-            args.seed = _default_seed()
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
     try:
+        if hasattr(args, "seed") and args.seed is None:
+            args.seed = _default_seed()
         return args.func(args)
     except (ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

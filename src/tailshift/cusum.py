@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel, null_dist
-from .tail_core import DegenerateThresholdError, _at_k, _zero_floor, _zero_threshold, as_int
+from .tail_core import DegenerateThresholdError, _at_k, _positive_threshold, _zero_floor, as_int
 
 __all__ = [
     "PHI_KINDS",
@@ -49,7 +49,6 @@ class TailTestConfig:
     phi: str = "indicator"
     adjust: str = "iid"
     level: float = 0.05
-    use_abs: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "k", as_int(self.k, "k", 1))
@@ -94,27 +93,25 @@ class TestOutcome:
     n_exceed: int
 
 
-def _one_k(x, k: int, phi: str, use_abs: bool, path: bool = False) -> kernel.TailGrid:
+def _one_k(x, k: int, phi: str, path: bool = False) -> kernel.TailGrid:
     _check_phi(phi)
-    grid = _at_k(x, k, phi, use_abs=use_abs, path=path)[1]
-    if phi == "log_excess" and grid.threshold[0] <= 0.0:
-        raise _zero_threshold(k)
-    return grid
+    grid = _at_k(x, k, phi, path=path)[1]
+    return _positive_threshold(grid, k) if phi == "log_excess" else grid
 
 
-def deviation_process(x, k: int, phi: str = "indicator", use_abs: bool = True) -> np.ndarray:
+def deviation_process(x, k: int, phi: str = "indicator") -> np.ndarray:
     """Partial deviations ``D(l)`` of the transformed exceedances, ``l = 1..n``.
 
     ``D(l)`` is the sum of the first ``l`` transformed values minus ``l/n``
     times their total, so ``D(n) = 0`` up to rounding. The threshold is the
-    k-th largest viewed value and must be positive for the log transform.
+    k-th largest absolute value and must be positive for the log transform.
     """
-    return _one_k(x, k, phi, use_abs, path=True).deviations[0]
+    return _one_k(x, k, phi, path=True).deviations[0]
 
 
-def cusum_statistic(x, k: int, phi: str = "indicator", use_abs: bool = True) -> tuple[float, int]:
+def cusum_statistic(x, k: int, phi: str = "indicator") -> tuple[float, int]:
     """Raw statistic ``max_l |D(l)| / sqrt(k)`` and the smallest maximizing ``l``."""
-    grid = _one_k(x, k, phi, use_abs)
+    grid = _one_k(x, k, phi)
     return float(grid.statistic[0]), int(grid.l_hat[0])
 
 
@@ -126,7 +123,7 @@ def run_test(x, cfg: TailTestConfig) -> TestOutcome:
     ``1 - level``, and the test rejects when ``scale * statistic`` reaches it.
     """
     k = cfg.k
-    v, grid = _at_k(x, k, cfg.phi, cfg.adjust, cfg.use_abs, test=True)
+    v, grid = _at_k(x, k, cfg.phi, cfg.adjust, test=True)
     n = v.size
     alpha_hat = float(grid.alpha_hat[0])
     if grid.degenerate[0]:

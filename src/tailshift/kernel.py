@@ -36,14 +36,13 @@ class TailGrid(NamedTuple):
     count under ``indicator`` and the summed log excesses under
     ``log_excess`` (meaningless for a zero threshold). Only with the lag-1
     adjustment are ``cross`` (summed products of adjacent log excesses,
-    NaN for a zero threshold), ``omega_hat`` and ``chi_hat`` (NaN unless
+    meaningless for a zero threshold), ``omega_hat`` and ``chi_hat`` (NaN unless
     ``alpha_hat`` is finite). ``degenerate`` marks the documented degeneracies
     of the test, where no outcome exists: ``n < max(4, k + 2)``, a zero
     (k+1)-th largest value (every outcome reports ``alpha_hat``), and an
     infinite ``alpha_hat`` under the log-excess scaling.
     """
 
-    ks: np.ndarray
     threshold: np.ndarray
     hill_mean: np.ndarray
     alpha_hat: np.ndarray
@@ -131,7 +130,7 @@ def tail_grid(v: np.ndarray, ks, phi: str | None = None, adjust: str = "iid", pa
     if phi == "log_excess":
         degenerate |= np.isinf(alpha_hat)
     lag1 = adjust == "lag1"
-    out = dict(ks=ks, threshold=threshold, hill_mean=hill_mean, alpha_hat=alpha_hat, degenerate=degenerate)
+    out = dict(threshold=threshold, hill_mean=hill_mean, alpha_hat=alpha_hat, degenerate=degenerate)
     if phi is None and not lag1:
         return TailGrid(**out)
 
@@ -150,8 +149,6 @@ def tail_grid(v: np.ndarray, ks, phi: str | None = None, adjust: str = "iid", pa
         linked = idx[1:] - idx[:-1] == 1  # columns a and a + 1 are neighbours in the series
         joint = (exceed[:, :-1] & exceed[:, 1:] & linked).sum(axis=1)
         cross = (sizes[:, :-1] * sizes[:, 1:] * linked).sum(axis=1)
-        if low <= 0.0:
-            cross[threshold <= 0.0] = np.nan
         out.update(cross=cross, omega_hat=2.0 * joint / kk, chi_hat=chi(finite_alpha, cross, kk))
     if phi is None:
         return TailGrid(**out)

@@ -14,6 +14,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import kolmogi
 
+from .kernel import deviation
 from .tail_core import as_int
 from .variates import as_generator, replication_rng
 
@@ -60,8 +61,8 @@ def simulate_L(n_points: int, seed=None) -> float:
     rng = as_generator(seed)
     eps = rng.standard_normal(n_points)
     partial = np.cumsum(eps)
-    share = np.arange(1, n_points + 1) / n_points * partial[-1]
-    return float(np.max(np.abs(partial - share)) / math.sqrt(n_points))
+    deviations = deviation(partial, np.arange(1, n_points + 1), n_points, partial[-1])
+    return float(np.max(np.abs(deviations)) / math.sqrt(n_points))
 
 
 def mc_critical_values(

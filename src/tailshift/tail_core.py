@@ -5,12 +5,10 @@ the tail kernel (:mod:`tailshift.kernel`), the single implementation of their
 formulas and the only sort, through one entry, ``_at_k``: it views the
 series, checks ``k`` and evaluates a one-element k grid.
 
-All operations act on a non-negative view of the data. By default the view
-is the absolute value (so signed series such as regression residuals are
-handled transparently); with ``use_abs=False`` the input must already be
-non-negative. Thresholds are order statistics of the viewed values with ties
-kept as-is: exceedance is always strict, so duplicated threshold values
-reduce the excess count below ``k - 1``.
+All operations act on the absolute values of the data, so signed series such
+as regression residuals are handled transparently. Thresholds are order
+statistics of the absolute values with ties kept as-is: exceedance is always
+strict, so duplicated threshold values reduce the excess count below ``k - 1``.
 """
 from __future__ import annotations
 
@@ -60,14 +58,9 @@ def finite_series(x) -> np.ndarray:
     return v
 
 
-def nonneg_view(x, use_abs: bool = True) -> np.ndarray:
-    """Non-negative 1-d float view of the finite series ``x`` (absolute values by default)."""
-    v = finite_series(x)
-    if use_abs:
-        return np.abs(v)
-    if np.any(v < 0.0):
-        raise ValueError("series contains negative values; drop use_abs=False or clean the input")
-    return v
+def nonneg_view(x) -> np.ndarray:
+    """Absolute values of the finite series ``x`` as a 1-d float array."""
+    return np.abs(finite_series(x))
 
 
 def as_int(value, name: str, low: int | None = None) -> int:
@@ -81,23 +74,19 @@ def as_int(value, name: str, low: int | None = None) -> int:
     return value
 
 
-def _zero_threshold(k: int) -> DegenerateThresholdError:
-    return DegenerateThresholdError(f"k-th largest value is 0 (k={k}); log excesses are undefined")
-
-
 def _zero_floor(k: int) -> DegenerateThresholdError:
     return DegenerateThresholdError(f"(k+1)-th largest value is 0 (k={k}); the mean log excess is undefined")
 
 
-def _at_k(x, k: int, phi: str | None = None, adjust: str = "iid", use_abs: bool = True,
-          test: bool = False, path: bool = False) -> tuple[np.ndarray, kernel.TailGrid]:
-    """The non-negative view of ``x`` and the one-element kernel grid at ``k``.
+def _at_k(x, k: int, phi: str | None = None, adjust: str = "iid", test: bool = False,
+          path: bool = False) -> tuple[np.ndarray, kernel.TailGrid]:
+    """The absolute values of ``x`` and the one-element kernel grid at ``k``.
 
     ``k`` must be an integer with ``1 <= k <= n - 1``; with ``test`` set, the
     series must instead hold the ``max(4, k + 2)`` values the change test needs.
     ``path`` asks the kernel for the full deviation process.
     """
-    v = nonneg_view(x, use_abs)
+    v = nonneg_view(x)
     n = v.size
     if test:
         if n < max(4, k + 2):
@@ -107,33 +96,40 @@ def _at_k(x, k: int, phi: str | None = None, adjust: str = "iid", use_abs: bool 
     return v, kernel.tail_grid(v, [k], phi, adjust, path)
 
 
-def hill(x, k: int, use_abs: bool = True) -> HillEstimate:
+def _positive_threshold(grid: kernel.TailGrid, k: int) -> kernel.TailGrid:
+    """The one-element ``grid`` at ``k``, unless its threshold is 0 and log excesses over it are undefined."""
+    if grid.threshold[0] <= 0.0:
+        raise DegenerateThresholdError(f"k-th largest value is 0 (k={k}); log excesses are undefined")
+    return grid
+
+
+def hill(x, k: int) -> HillEstimate:
     """Mean positive part of ``log X_i - log X_(k+1)`` over the whole sample, and its reciprocal.
 
     Parameters
     ----------
     x : array_like
-        Observed series; the non-negative view is used.
+        Observed series; its absolute values are used.
     k : int
         Tail sample fraction, ``1 <= k <= n - 1``. The threshold is the
         (k+1)-th largest viewed value and must be positive.
     """
-    _, grid = _at_k(x, k, use_abs=use_abs)
+    _, grid = _at_k(x, k)
     if np.isnan(grid.hill_mean[0]):
         raise _zero_floor(k)
     return HillEstimate(hill_mean=float(grid.hill_mean[0]), alpha_hat=float(grid.alpha_hat[0]), k=int(k))
 
 
-def estimate_omega(x, k: int, use_abs: bool = True) -> float:
+def estimate_omega(x, k: int) -> float:
     """Joint-exceedance estimate of the variance inflation of the indicator statistic.
 
     Computes ``(2 / k) * sum_i I(X_i > X_(k), X_{i+1} > X_(k))``, the lag-1
     estimator, adequate for 2-dependent series such as MA(1).
     """
-    return float(_at_k(x, k, adjust="lag1", use_abs=use_abs)[1].omega_hat[0])
+    return float(_at_k(x, k, adjust="lag1")[1].omega_hat[0])
 
 
-def estimate_chi(x, k: int, alpha_hat: float, use_abs: bool = True) -> float:
+def estimate_chi(x, k: int, alpha_hat: float) -> float:
     """Joint log-excess estimate of the variance inflation of the log-excess statistic.
 
     Computes the lag-1 estimator ``(2 * alpha_hat / k) * sum_i
@@ -143,7 +139,5 @@ def estimate_chi(x, k: int, alpha_hat: float, use_abs: bool = True) -> float:
         raise DegenerateThresholdError(
             f"alpha_hat must be finite and positive, got {alpha_hat}"
         )
-    cross = float(_at_k(x, k, adjust="lag1", use_abs=use_abs)[1].cross[0])
-    if np.isnan(cross):
-        raise _zero_threshold(k)
+    cross = float(_positive_threshold(_at_k(x, k, adjust="lag1")[1], k).cross[0])
     return kernel.chi(alpha_hat, cross, k)

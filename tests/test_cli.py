@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from tailshift import cli
 from tailshift.cli import main, read_series
-from tailshift.variates import BurrParams, ChangeSpec, ModelSpec, replication_rng, simulate
+from tailshift.variates import BurrParams, ChangeSpec, ModelSpec, TDistParams, replication_rng, simulate
 
 HAND = "5\n1\n2\n3\n"
 
@@ -193,7 +193,11 @@ def test_negative_values_notice_and_no_abs(tmp_path, capsys):
     assert main(["test", path, "--k", "2"]) == 0
     assert "absolute values" in capsys.readouterr().err
     assert main(["test", path, "--k", "2", "--no-abs"]) == 1
-    assert "negative" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "negative" in err and "--no-abs" in err and "use_abs" not in err
+    # -0.0 is not negative
+    assert main(["test", write(tmp_path, "5\n-0.0\n2\n3\n", "zero.txt"), "--k", "2", "--no-abs"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_usage_errors_exit_one(tmp_path, capsys):
@@ -243,8 +247,6 @@ def test_localization_monte_carlo(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 def test_ar_test_runs(tmp_path, capsys):
-    from tailshift.variates import TDistParams
-
     x = simulate(ModelSpec("ar1", TDistParams(3.0), coef=0.5), 500, seed=6)
     path = write(tmp_path, "".join(f"{float(v)!r}\n" for v in x))
     code = main(["ar-test", path, "--k", "40", "--order", "1", "--format", "structured"])
@@ -260,6 +262,18 @@ def test_ar_test_runs(tmp_path, capsys):
     assert lines[-2] == f"n_exceed: {record['n_exceed']}"
     assert main(["ar-test", path, "--k", "40", "--order", "1", "--method", "yule-walker"]) in (0, 2)
     capsys.readouterr()
+
+
+def test_ar_test_takes_signed_input_without_notice_or_no_abs(tmp_path, capsys):
+    x = simulate(ModelSpec("ar1", TDistParams(3.0), coef=0.5), 200, seed=3)
+    assert (x < 0).any()
+    path = write(tmp_path, "".join(f"{float(v)!r}\n" for v in x))
+    assert main(["ar-test", path, "--k", "10", "--order", "1"]) in (0, 2)
+    assert capsys.readouterr().err == ""  # the test folds the residuals, not the input
+    assert main(["ar-test", path, "--k", "10", "--order", "1", "--no-abs"]) == 1
+    assert "unrecognized arguments: --no-abs" in capsys.readouterr().err
+    assert main(["ar-test", "--help"]) == 0
+    assert "--no-abs" not in capsys.readouterr().out
 
 
 def test_ar_test_requires_order(tmp_path, capsys):

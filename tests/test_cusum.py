@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import cusum_oracle
-from tailshift.cusum import TailTestConfig, cusum_statistic, deviation_process, run_test
+from tailshift.ar_fit import FIT_METHODS, fit_ar, residual_cusum
+from tailshift.cusum import ADJUST_MODES, PHI_KINDS, TailTestConfig, cusum_statistic, deviation_process, run_test
 from tailshift.kernel import scale, tail_grid
-from tailshift.tail_core import DegenerateThresholdError
+from tailshift.tail_core import DegenerateThresholdError, estimate_chi, estimate_omega, hill
 from tailshift.variates import BurrParams, ChangeSpec, ModelSpec, replication_rng, simulate
 
 HAND = [5.0, 1.0, 2.0, 3.0]
@@ -279,3 +280,43 @@ def test_run_test_rejects_non_finite_input():
         x = [1.0, 2.0, 3.0, bad, 5.0, 6.0]
         with pytest.raises(ValueError, match="index 3"):
             run_test(x, TailTestConfig(k=2))
+
+
+# ---------------------------------------------------------------------------
+# sign invariance: every statistic is a function of |X|
+# ---------------------------------------------------------------------------
+
+# integer-valued, zero-heavy and tie-heavy signed data, with -0.0
+signed_series = st.lists(
+    st.one_of(st.integers(-10**6, 10**6).map(float), st.integers(-3, 3).map(float), st.just(-0.0)),
+    min_size=2, max_size=40,
+)
+
+
+def result(fn, *args):
+    """``fn(*args)``, an array as its bytes, or the type and message of the error it raises."""
+    try:
+        value = fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return value.tobytes() if isinstance(value, np.ndarray) else value
+
+
+@settings(max_examples=150, deadline=None)
+@given(signed_series.flatmap(lambda xs: st.tuples(st.just(xs), st.integers(1, len(xs)))))
+def test_results_depend_on_absolute_values_only(case):
+    xs, k = case
+    x = np.asarray(xs)
+    calls = [(hill, k), (estimate_omega, k), (estimate_chi, k, 1.5)]
+    for phi in PHI_KINDS:
+        calls += [(cusum_statistic, k, phi), (deviation_process, k, phi)]
+        calls += [(run_test, TailTestConfig(k=k, phi=phi, adjust=adjust)) for adjust in ADJUST_MODES]
+    for fn, *args in calls:
+        assert result(fn, x, *args) == result(fn, -x, *args) == result(fn, np.abs(x), *args)
+    # the residual test folds the residuals: a sign flip of the series flips them
+    for phi in PHI_KINDS:
+        for method in FIT_METHODS:
+            folded = result(lambda v: run_test(np.abs(fit_ar(v, 1, method).residuals),
+                                               TailTestConfig(k=k, phi=phi)), x)
+            got = result(residual_cusum, x, 1, k, phi, method)
+            assert got == result(residual_cusum, -x, 1, k, phi, method) == folded

@@ -137,7 +137,7 @@ def test_zero_threshold_rows_are_degenerate_not_raised():
     v = np.asarray([4.0, 0.0, 3.0, 0.0, 0.0, 2.0, 0.0, 0.0])
     grid = tail_grid(v, [1, 2, 3, 4], "log_excess", "lag1")
     assert grid.degenerate.tolist() == [False, False, True, True]
-    assert np.isnan(grid.cross[3]) and np.isnan(grid.alpha_hat[3])
+    assert np.isnan(grid.alpha_hat[3])
 
 
 def test_threshold_hand_cases():

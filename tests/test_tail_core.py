@@ -40,9 +40,6 @@ def total(x, k, phi="indicator"):
 
 def test_nonneg_view_modes():
     assert np.array_equal(nonneg_view([-1.0, 2.0]), [1.0, 2.0])
-    assert np.array_equal(nonneg_view([1.0, 2.0], use_abs=False), [1.0, 2.0])
-    with pytest.raises(ValueError):
-        nonneg_view([-1.0, 2.0], use_abs=False)
     with pytest.raises(ValueError):
         nonneg_view([[1.0, 2.0]])
 
@@ -201,7 +198,7 @@ def test_nonneg_view_rejects_non_finite_values():
     with pytest.raises(ValueError, match="index 2 \\(nan\\)"):
         nonneg_view([1.0, 2.0, float("nan"), float("inf")])
     with pytest.raises(ValueError, match="index 0 \\(-inf\\)"):
-        nonneg_view([-float("inf"), 1.0], use_abs=False)
+        nonneg_view([-float("inf"), 1.0])
     with pytest.raises(ValueError, match="non-finite"):
         hill([1.0, float("inf"), 2.0, 3.0], 1)
 

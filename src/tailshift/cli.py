@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import warnings
@@ -80,31 +81,22 @@ def _read_lines(path: str) -> np.ndarray:
     name = "<stdin>" if path == "-" else path
     stream = sys.stdin if path == "-" else open(path, encoding="utf-8")
     values = []
-    skipped = []  # line numbers of blanks and comments, to map a value back to its line
     try:
         for lineno, raw in enumerate(stream, start=1):
             text = raw.strip()
             if not text or text.startswith("#"):
-                skipped.append(lineno)
                 continue
             try:
-                values.append(float(text))
+                value = float(text)
             except ValueError:
                 raise ValueError(f"{name}, line {lineno}: cannot parse {text!r} as a number") from None
+            if not math.isfinite(value):
+                raise ValueError(f"{name}, line {lineno}: {value!r} is not a finite number")
+            values.append(value)
     finally:
         if stream is not sys.stdin:
             stream.close()
-    x = np.asarray(values, dtype=float)
-    finite = np.isfinite(x)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        lineno = i + 1
-        for s in skipped:
-            if s > lineno:
-                break
-            lineno += 1
-        raise ValueError(f"{name}, line {lineno}: {float(x[i])!r} is not a finite number")
-    return x
+    return np.asarray(values, dtype=float)
 
 
 def _emit_outcome(outcome: TestOutcome, fmt: str, extra: dict | None = None) -> None:
@@ -193,30 +185,26 @@ def cmd_tables(args) -> int:
 
 def _innovation_from_args(args, prefix: str = ""):
     get = lambda name: getattr(args, prefix + name)
+    flag = "--" + prefix.replace("_", "-")
     if args.model == "iid-burr":
         gamma = get("gamma")
         if gamma is None:
-            raise ValueError(f"--{prefix.replace('_', '-')}gamma is required for iid-burr")
+            raise ValueError(f"{flag}gamma is required for iid-burr")
         if get("lam") is not None:
             return BurrParams(lam=get("lam"), beta=get("beta"), gamma=gamma)
         if get("alpha") is not None:
             return BurrParams.from_alpha(get("alpha"), gamma, beta=get("beta"))
-        raise ValueError("iid-burr requires --lam or --alpha (with --gamma)")
+        raise ValueError(f"iid-burr requires {flag}lam or {flag}alpha (with {flag}gamma)")
     nu = get("nu")
     if nu is None:
-        raise ValueError(f"--{prefix.replace('_', '-')}nu is required for {args.model}")
+        raise ValueError(f"{flag}nu is required for {args.model}")
     return TDistParams(nu)
 
 
 def cmd_simulate(args) -> int:
     kind = {"iid-burr": "iid", "ma1-t": "ma1", "ar1-t": "ar1"}[args.model]
     innovation = _innovation_from_args(args)
-    coef = None
-    if kind != "iid":
-        if args.coef is None:
-            raise ValueError(f"--coef is required for {args.model}")
-        coef = args.coef
-    model = ModelSpec(kind, innovation, coef=coef)
+    model = ModelSpec(kind, innovation, coef=args.coef)
     change = None
     if args.change_tau is not None:
         change = ChangeSpec(tau=args.change_tau, pre=innovation, post=_innovation_from_args(args, "post_"))
@@ -276,16 +264,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--model", choices=("iid-burr", "ma1-t", "ar1-t"), required=True)
     p_sim.add_argument("--n", type=int, required=True)
     p_sim.add_argument("--seed", type=int, default=None)
-    p_sim.add_argument("--coef", type=float, help="MA/AR lag-1 coefficient")
+    p_sim.add_argument("--coef", type=float, help="MA/AR lag-1 coefficient (ma1-t and ar1-t only)")
     p_sim.add_argument("--nu", type=float, help="t degrees of freedom")
-    p_sim.add_argument("--lam", type=float, help="Burr lam parameter")
-    p_sim.add_argument("--alpha", type=float, help="Burr tail exponent (alternative to --lam)")
+    burr = p_sim.add_mutually_exclusive_group()
+    burr.add_argument("--lam", type=float, help="Burr lam parameter")
+    burr.add_argument("--alpha", type=float, help="Burr tail exponent (alternative to --lam)")
     p_sim.add_argument("--beta", type=float, default=1.0, help="Burr beta parameter")
     p_sim.add_argument("--gamma", type=float, help="Burr gamma parameter (negative)")
     p_sim.add_argument("--change-tau", type=float, help="inject a change at this sample fraction")
     p_sim.add_argument("--post-nu", type=float, help="post-change t degrees of freedom")
-    p_sim.add_argument("--post-lam", type=float, help="post-change Burr lam")
-    p_sim.add_argument("--post-alpha", type=float, help="post-change Burr tail exponent")
+    post_burr = p_sim.add_mutually_exclusive_group()
+    post_burr.add_argument("--post-lam", type=float, help="post-change Burr lam")
+    post_burr.add_argument("--post-alpha", type=float, help="post-change Burr tail exponent")
     p_sim.add_argument("--post-beta", type=float, default=1.0)
     p_sim.add_argument("--post-gamma", type=float)
     p_sim.add_argument("--out", help="write the series here instead of stdout")

@@ -111,10 +111,17 @@ InnovationParams = BurrParams | TDistParams
 _MODEL_KINDS = ("iid", "ma1", "ar1")
 
 
+def _require_law(name: str, value) -> None:
+    """Reject an innovation law that is not a ``BurrParams`` or ``TDistParams``, naming the field."""
+    if not isinstance(value, InnovationParams):
+        raise TypeError(f"{name} must be a BurrParams or TDistParams, got {type(value).__name__}")
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Data-generating model: i.i.d. draws, MA(1), or AR(1) over an innovation law.
 
+    ``innovation`` must be a :class:`BurrParams` or :class:`TDistParams`.
     ``coef`` is the single finite lag-1 coefficient: the moving-average weight
     for ``kind="ma1"``, the autoregressive weight for ``kind="ar1"`` (must
     satisfy ``|coef| < 1`` for stationarity), unused for ``kind="iid"``.
@@ -127,6 +134,7 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in _MODEL_KINDS:
             raise ValueError(f"kind must be one of {_MODEL_KINDS}, got {self.kind!r}")
+        _require_law("innovation", self.innovation)
         if self.kind == "iid":
             if self.coef is not None:
                 raise ValueError("iid model takes no coefficient")
@@ -141,7 +149,10 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class ChangeSpec:
-    """Single abrupt switch of the innovation law after index ``floor(n * tau)``."""
+    """Single abrupt switch of the innovation law after index ``floor(n * tau)``.
+
+    ``pre`` and ``post`` must each be a :class:`BurrParams` or :class:`TDistParams`.
+    """
 
     tau: float
     pre: InnovationParams
@@ -150,6 +161,8 @@ class ChangeSpec:
     def __post_init__(self):
         if not 0.0 < self.tau < 1.0:
             raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
+        _require_law("pre", self.pre)
+        _require_law("post", self.post)
 
 
 def burr_quantile(u, params: BurrParams):
@@ -170,12 +183,10 @@ def _draw(params: InnovationParams, size: int, rng: np.random.Generator) -> np.n
     if isinstance(params, BurrParams):
         u = np.fmax(rng.random(size), _MIN_UNIFORM)
         return burr_quantile(u, params)
-    if isinstance(params, TDistParams):
-        # Exact law: standard normal over sqrt(chi-square / nu).
-        z = rng.standard_normal(size)
-        w = rng.chisquare(params.nu, size)
-        return z / np.sqrt(w / params.nu)
-    raise TypeError(f"unsupported innovation parameters: {type(params).__name__}")
+    # Exact t law: standard normal over sqrt(chi-square / nu).
+    z = rng.standard_normal(size)
+    w = rng.chisquare(params.nu, size)
+    return z / np.sqrt(w / params.nu)
 
 
 def simulate(model: ModelSpec, n: int, seed=None, change: ChangeSpec | None = None) -> np.ndarray:
@@ -199,17 +210,12 @@ def simulate(model: ModelSpec, n: int, seed=None, change: ChangeSpec | None = No
         n_pre = n
         pre_law = post_law = model.innovation
 
+    # draws before observation 1: the MA(1) presample lag or the AR(1) burn-in
+    lead = {"iid": 0, "ma1": 1, "ar1": AR_BURNIN}[model.kind]
+    xi = np.concatenate([_draw(pre_law, lead + n_pre, rng), _draw(post_law, n - n_pre, rng)])
     if model.kind == "iid":
-        return np.concatenate([_draw(pre_law, n_pre, rng), _draw(post_law, n - n_pre, rng)])
-
+        return xi
     if model.kind == "ma1":
-        # xi[0] is the presample innovation; xi[i] drives observation i.
-        xi = np.concatenate([_draw(pre_law, n_pre + 1, rng), _draw(post_law, n - n_pre, rng)])
         return xi[1:] + model.coef * xi[:-1]
-
     # ar1: recursion x_i = coef * x_{i-1} + xi_i from zero, burn-in discarded.
-    xi = np.concatenate(
-        [_draw(pre_law, AR_BURNIN + n_pre, rng), _draw(post_law, n - n_pre, rng)]
-    )
-    path = lfilter([1.0], [1.0, -model.coef], xi)
-    return path[AR_BURNIN:]
+    return lfilter([1.0], [1.0, -model.coef], xi)[AR_BURNIN:]

@@ -386,6 +386,25 @@ def test_simulate_models_and_change(capsys):
     assert captured.out == "" and captured.err == "error: seed must be non-negative, got -1\n"
 
 
+def test_simulate_rejects_ignored_and_conflicting_flags(capsys):
+    iid = ["simulate", "--model", "iid-burr", "--n", "10", "--seed", "1"]
+    for argv, message in (
+        # --coef with iid-burr was dropped; lam silently won over alpha
+        (iid + ["--lam", "1", "--gamma", "-1", "--coef", "0.5"], "error: iid model takes no coefficient\n"),
+        (["simulate", "--model", "ar1-t", "--nu", "3", "--n", "10"], "error: ar1 model requires a coefficient\n"),
+        (iid + ["--lam", "1", "--alpha", "9", "--gamma", "-1"],
+         "error: argument --alpha: not allowed with argument --lam\n"),
+        (iid + ["--lam", "1", "--gamma", "-1", "--change-tau", "0.5", "--post-lam", "1", "--post-alpha", "2",
+                "--post-gamma", "-1"], "error: argument --post-alpha: not allowed with argument --post-lam\n"),
+        # the post-change message named the pre-change flags
+        (iid + ["--alpha", "2", "--gamma", "-1", "--change-tau", "0.5", "--post-gamma", "-1"],
+         "error: iid-burr requires --post-lam or --post-alpha (with --post-gamma)\n"),
+    ):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.endswith(message)
+
+
 def test_simulate_pipes_into_test(tmp_path, capsys):
     out = tmp_path / "sim.txt"
     assert main(["simulate", "--model", "iid-burr", "--lam", "1", "--gamma", "-2",
@@ -427,6 +446,9 @@ def test_read_series_rejects_non_finite_with_line_number(tmp_path):
         read_series(path)
     with pytest.raises(ValueError, match="line 2: inf"):
         read_series(write(tmp_path, "1\n1e999\n3\n"))
+    # the first bad line wins, whether it does not parse or is not finite
+    with pytest.raises(ValueError, match="line 1: nan is not a finite number"):
+        read_series(write(tmp_path, "nan\nabc\n"))
 
 
 def test_non_finite_line_exits_one(tmp_path, capsys):

@@ -1,8 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from tailshift import experiments
 from tailshift.experiments import (
     SimulationSpec,
     TABLE_IDS,
@@ -124,14 +126,31 @@ def test_replication_errors_are_counted_not_raised():
     assert good.error_count == 0
 
 
-def test_sweep_isolates_failing_specs():
-    bogus = SimulationSpec(model=ModelSpec("iid", "not-params"), n=60, k_grid=(5,), replications=2)
-    results = sweep([SMALL, bogus, SMALL])
+def test_sweep_isolates_failing_specs(monkeypatch):
+    with pytest.raises(TypeError, match="^innovation must be a BurrParams or TDistParams"):
+        ModelSpec("iid", "not-params")
+    failing = replace(SMALL, n=61, label="failing")
+    real_simulate = experiments.simulate
+
+    def simulate(model, n, *rest):
+        if n == failing.n:
+            raise RuntimeError("draw failed, on purpose")
+        return real_simulate(model, n, *rest)
+
+    monkeypatch.setattr(experiments, "simulate", simulate)
+    results = sweep([SMALL, failing, SMALL])
     assert results[0].error is None
-    assert results[1].error is not None and results[1].rows == ()
+    assert results[1].error == "draw failed, on purpose" and results[1].rows == ()
     assert results[2] == results[0]
     with pytest.raises(ValueError):
         sweep([])
+    # both renderers report the failed spec in its place
+    lines = results_to_csv(results).splitlines()
+    assert lines[1 + len(SMALL.k_grid)] == (
+        f"{spec_fingerprint(failing)},,,,,{failing.replications},ERROR: draw failed; on purpose")
+    report = json.loads(results_to_report(results))["results"]
+    assert [entry["error"] for entry in report] == [None, "draw failed, on purpose", None]
+    assert report[1]["rows"] == [] and report[1]["spec"]["label"] == "failing"
 
 
 def test_sweep_identical_specs_identical_results():

@@ -171,6 +171,17 @@ def test_model_spec_validation():
             ModelSpec("ma1", T3, coef=bad)
 
 
+def test_model_and_change_specs_require_a_law():
+    # a non-law used to construct and fail later, inside simulate or a report renderer
+    for bad in ("x", None, 3.0, ModelSpec("iid", T3)):
+        with pytest.raises(TypeError, match="^innovation must be a BurrParams or TDistParams"):
+            ModelSpec("iid", bad)
+        with pytest.raises(TypeError, match="^pre must be a BurrParams or TDistParams"):
+            ChangeSpec(0.5, bad, T3)
+        with pytest.raises(TypeError, match="^post must be a BurrParams or TDistParams"):
+            ChangeSpec(0.5, T3, bad)
+
+
 def test_ma1_zero_coef_is_innovation_series():
     # the presample draw is xi[0]; with coef 0 the path equals xi[1:], which
     # matches the first n+1 draws of the same stream

@@ -54,8 +54,7 @@ def _lag_matrix(x: np.ndarray, p: int) -> np.ndarray:
     return np.column_stack([x[p - j: x.size - j] for j in range(1, p + 1)])
 
 
-def _fit_ols(x: np.ndarray, p: int) -> np.ndarray:
-    design = _lag_matrix(x, p)
+def _fit_ols(x: np.ndarray, p: int, design: np.ndarray) -> np.ndarray:
     gram = design.T @ design
     rhs = design.T @ x[p:]
     try:
@@ -112,8 +111,9 @@ def fit_ar(x, order: int, method: str = "ols") -> ArFit:
     """
     v = finite_series(x)
     order = check_fit_args(v.size, order, method)
-    coef = _fit_ols(v, order) if method == "ols" else _fit_yule_walker(v, order)
-    residuals = v[order:] - _lag_matrix(v, order) @ coef
+    lags = _lag_matrix(v, order)
+    coef = _fit_ols(v, order, lags) if method == "ols" else _fit_yule_walker(v, order)
+    residuals = v[order:] - np.dot(lags, coef)  # not lags @ coef: matmul is slow for (n, p) by (p,)
     return ArFit(order=order, coefficients=coef, residuals=residuals, method=method)
 
 

@@ -93,10 +93,10 @@ class TestOutcome:
     n_exceed: int
 
 
-def _one_k(x, k: int, phi: str, path: bool = False) -> kernel.TailGrid:
+def _one_k(x, k: int, phi: str) -> tuple[np.ndarray, kernel.TailGrid]:
     _check_phi(phi)
-    grid = _at_k(x, k, phi, path=path)[1]
-    return _positive_threshold(grid, k) if phi == "log_excess" else grid
+    v, grid = _at_k(x, k, phi)
+    return v, (_positive_threshold(grid, k) if phi == "log_excess" else grid)
 
 
 def deviation_process(x, k: int, phi: str = "indicator") -> np.ndarray:
@@ -106,12 +106,18 @@ def deviation_process(x, k: int, phi: str = "indicator") -> np.ndarray:
     times their total, so ``D(n) = 0`` up to rounding. The threshold is the
     k-th largest absolute value and must be positive for the log transform.
     """
-    return _one_k(x, k, phi, path=True).deviations[0]
+    v, grid = _one_k(x, k, phi)
+    t = grid.threshold
+    hits = (v > t[0]).nonzero()[0]
+    # the running sums of the kernel's transformed exceedances, held from each one to the next
+    values = kernel.excess_sizes(v[hits], t, t[0])[0] if phi == "log_excess" else np.ones(hits.size)
+    running = np.repeat(np.concatenate([[0.0], np.cumsum(values)]), np.diff(hits, prepend=0, append=v.size))
+    return kernel.deviation(running, np.arange(1, v.size + 1), v.size, grid.total[0])
 
 
 def cusum_statistic(x, k: int, phi: str = "indicator") -> tuple[float, int]:
     """Raw statistic ``max_l |D(l)| / sqrt(k)`` and the smallest maximizing ``l``."""
-    grid = _one_k(x, k, phi)
+    grid = _one_k(x, k, phi)[1]
     return float(grid.statistic[0]), int(grid.l_hat[0])
 
 

@@ -78,13 +78,12 @@ def _zero_floor(k: int) -> DegenerateThresholdError:
     return DegenerateThresholdError(f"(k+1)-th largest value is 0 (k={k}); the mean log excess is undefined")
 
 
-def _at_k(x, k: int, phi: str | None = None, adjust: str = "iid", test: bool = False,
-          path: bool = False) -> tuple[np.ndarray, kernel.TailGrid]:
+def _at_k(x, k: int, phi: str | None = None, adjust: str = "iid",
+          test: bool = False) -> tuple[np.ndarray, kernel.TailGrid]:
     """The absolute values of ``x`` and the one-element kernel grid at ``k``.
 
     ``k`` must be an integer with ``1 <= k <= n - 1``; with ``test`` set, the
     series must instead hold the ``max(4, k + 2)`` values the change test needs.
-    ``path`` asks the kernel for the full deviation process.
     """
     v = nonneg_view(x)
     n = v.size
@@ -93,7 +92,7 @@ def _at_k(x, k: int, phi: str | None = None, adjust: str = "iid", test: bool = F
             raise ValueError(f"need n >= max(4, k + 2) = {max(4, k + 2)}, got n = {n}")
     elif not 1 <= as_int(k, "k") <= n - 1:
         raise ValueError(f"k must satisfy 1 <= k <= n - 1 = {n - 1}, got {k}")
-    return v, kernel.tail_grid(v, [k], phi, adjust, path)
+    return v, kernel.tail_grid(v, [k], phi, adjust)
 
 
 def _positive_threshold(grid: kernel.TailGrid, k: int) -> kernel.TailGrid:

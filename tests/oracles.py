@@ -1,11 +1,20 @@
 """Independent brute-force oracles, coded directly from the defining formulas.
 
 These deliberately avoid the library's vectorized paths (plain Python loops,
-``math`` instead of numpy reductions) so that agreement is meaningful.
+``math`` instead of numpy reductions) so that agreement is meaningful. The
+exception is :func:`run_table_oracle`, the harness's per-replication loop,
+kept as the reference its block form must reproduce.
 """
 import math
 
 import numpy as np
+
+from tailshift.ar_fit import DegenerateDataError, fit_ar
+from tailshift.experiments import KCell, TableResult
+from tailshift.kernel import tail_grid
+from tailshift.null_dist import analytic_quantile
+from tailshift.tail_core import nonneg_view
+from tailshift.variates import replication_rng, simulate
 
 
 def hill_oracle(values, k):
@@ -179,3 +188,50 @@ def tail_test_oracle(values, k, phi, adjust):
     else:
         out["scale"] = alpha_hat / math.sqrt(2.0 + out["chi_hat"])
     return out
+
+
+def run_table_oracle(spec):
+    """``experiments.run_table`` as one kernel pass and one accumulation per replication.
+
+    The block harness must reproduce it bit for bit: the same streams, the
+    same rows and the same running sums, added one replication at a time.
+    """
+    ks = np.asarray(spec.k_grid)
+    n_k = ks.size
+    rejects = np.zeros(n_k, dtype=np.int64)
+    sq_err = np.zeros(n_k)
+    ok_count = np.zeros(n_k, dtype=np.int64)
+    alpha_sum = np.zeros(n_k)
+    critical = analytic_quantile(1.0 - spec.level)
+
+    for r in range(spec.replications):
+        rng = replication_rng(spec.seed, r)
+        series = simulate(spec.model, spec.n, rng, spec.change)
+        if spec.test == "ar_residual":
+            try:
+                series = fit_ar(series, spec.ar_order, spec.ar_method).residuals
+            except DegenerateDataError:  # an error at every k
+                continue
+        v = nonneg_view(series)
+        grid = tail_grid(v, ks, spec.phi, spec.adjust)
+        ok = ~grid.degenerate
+        ok_count += ok
+        rejects += (grid.scale * grid.statistic >= critical) & ok
+        np.add(alpha_sum, grid.alpha_hat, out=alpha_sum, where=ok)
+        if spec.change is not None:
+            np.add(sq_err, (grid.l_hat / v.size - spec.change.tau) ** 2, out=sq_err, where=ok)
+
+    rows = []
+    for j, k in enumerate(spec.k_grid):
+        ok = int(ok_count[j])
+        rows.append(
+            KCell(
+                k=k,
+                reject_count=int(rejects[j]),
+                rejection_rate=int(rejects[j]) / spec.replications,
+                mse_tau=(float(sq_err[j]) / ok if spec.change is not None and ok else None),
+                mean_alpha_hat=(float(alpha_sum[j]) / ok if ok else float("nan")),
+                error_count=spec.replications - ok,
+            )
+        )
+    return TableResult(spec=spec, rows=tuple(rows))

@@ -85,6 +85,19 @@ def test_residual_identity_reconstructs_input():
         assert fit.residuals.size == x.size - 2
 
 
+@settings(max_examples=60)
+@given(st.integers(1, 8), st.integers(0, 600), st.integers(0, 10**6))
+def test_residuals_are_the_lag_product_bit_for_bit(order, extra, seed):
+    x = replication_rng(seed, 1).standard_t(3.0, order + 2 + extra)
+    lags = np.column_stack([x[order - j: x.size - j] for j in range(1, order + 1)])
+    for method in ("ols", "yule_walker"):
+        try:
+            fit = fit_ar(x, order, method)
+        except DegenerateDataError:
+            continue
+        assert np.array_equal(fit.residuals, x[order:] - lags @ fit.coefficients)
+
+
 def test_ols_normal_equation_gradient_vanishes():
     x = simulate(AR_MODEL, 2000, seed=4)
     fit = fit_ar(x, 3, "ols")

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import run_table_oracle
 from tailshift import experiments
 from tailshift.experiments import (
     SimulationSpec,
@@ -15,7 +16,8 @@ from tailshift.experiments import (
     sweep,
     table_specs,
 )
-from tailshift.variates import BurrParams, ChangeSpec, ModelSpec, TDistParams
+from tailshift.ar_fit import DegenerateDataError
+from tailshift.variates import BurrParams, ChangeSpec, ModelSpec, TDistParams, replication_rng, simulate
 
 T3 = TDistParams(3.0)
 SMALL = SimulationSpec(
@@ -56,6 +58,13 @@ def test_single_replication_rate_is_binary():
     first = run_table(spec)
     assert first.rows[0].rejection_rate in (0.0, 1.0)
     assert run_table(spec) == first
+
+
+def test_spec_rejects_a_model_or_change_of_the_wrong_type():
+    with pytest.raises(TypeError, match="^model must be a ModelSpec, got str"):
+        SimulationSpec(model="iid", n=100, k_grid=(10,))
+    with pytest.raises(TypeError, match="^change must be a ChangeSpec or None, got TDistParams"):
+        SimulationSpec(model=ModelSpec("iid", T3), n=100, k_grid=(10,), change=T3)
 
 
 def test_spec_validation():
@@ -151,6 +160,63 @@ def test_sweep_isolates_failing_specs(monkeypatch):
     report = json.loads(results_to_report(results))["results"]
     assert [entry["error"] for entry in report] == [None, "draw failed, on purpose", None]
     assert report[1]["rows"] == [] and report[1]["spec"]["label"] == "failing"
+
+
+BLOCK_SPECS = [
+    SimulationSpec(model=ModelSpec("ma1", TDistParams(2.0), coef=0.5), n=200, k_grid=(5, 20, 60),
+                   phi="log_excess", adjust="lag1", change=ChangeSpec(0.3, T3, TDistParams(1.0)), seed=5),
+    SimulationSpec(model=ModelSpec("ar1", T3, coef=0.5), n=120, k_grid=(4, 30), test="ar_residual", seed=6),
+    # integer-rounded draws: ties at the top give the rows of a block different column counts
+    SimulationSpec(model=ModelSpec("iid", BurrParams(lam=0.5, gamma=-4.0)), n=40, k_grid=(3, 10, 30),
+                   phi="log_excess", seed=7),
+]
+
+
+@pytest.mark.parametrize("spec", BLOCK_SPECS, ids=lambda spec: spec.model.kind)
+def test_run_table_equals_the_per_replication_loop(spec, monkeypatch):
+    block = experiments._BLOCK
+    if spec.model.kind == "iid":
+        real_simulate = experiments.simulate
+        monkeypatch.setattr(experiments, "simulate", lambda *args: np.round(real_simulate(*args)))
+        monkeypatch.setattr("oracles.simulate", lambda *args: np.round(real_simulate(*args)))
+    for replications in (block + 7, 2 * block):
+        spec = replace(spec, replications=replications)
+        got, want = run_table(spec), run_table_oracle(spec)
+        assert results_to_csv([got]) == results_to_csv([want])
+        assert results_to_report([got]) == results_to_report([want])
+
+
+def test_singular_fits_drop_out_of_their_block(monkeypatch):
+    # replications 3 and 10 fail mid-block, and the last 7 fill a block alone and all fail
+    block = experiments._BLOCK
+    spec = replace(BLOCK_SPECS[1], replications=block + 7)
+    singular = {3, 10, *range(block, block + 7)}
+    first_values = {simulate(spec.model, spec.n, replication_rng(spec.seed, r))[0] for r in singular}
+    real_fit = experiments.fit_ar
+
+    def fit_ar(x, *args):
+        if x[0] in first_values:
+            raise DegenerateDataError("singular design")
+        return real_fit(x, *args)
+
+    monkeypatch.setattr(experiments, "fit_ar", fit_ar)
+    monkeypatch.setattr("oracles.fit_ar", fit_ar)
+    got = run_table(spec)
+    assert [cell.error_count for cell in got.rows] == [len(singular)] * 2
+    assert results_to_csv([got]) == results_to_csv([run_table_oracle(spec)])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
+def test_non_finite_paths_name_the_index_in_their_series():
+    # lam = 0.001 overflows at once; at lam = 0.005 replication 3 is the first
+    # to overflow, at index 1 of its series
+    burr = dict(n=60, k_grid=(5, 10), replications=100, seed=3)
+    specs = [SimulationSpec(model=ModelSpec("iid", BurrParams(lam=0.001)), **burr),
+             SimulationSpec(model=ModelSpec("iid", BurrParams(lam=0.005)), **dict(burr, n=6, k_grid=(1, 2)))]
+    assert [result.error for result in sweep(specs)] == [
+        "series contains a non-finite value at index 0 (inf)",
+        "series contains a non-finite value at index 1 (inf)",
+    ]
 
 
 def test_sweep_identical_specs_identical_results():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import OracleDegenerate, tail_test_oracle
 from tailshift.cusum import TailTestConfig, cusum_statistic, deviation_process, run_test
-from tailshift.kernel import tail_grid
+from tailshift.kernel import TailGrid, tail_grid
 from tailshift.tail_core import DegenerateThresholdError, _at_k, estimate_omega, hill
 from tailshift.variates import ModelSpec, TDistParams, simulate
 
@@ -103,13 +103,42 @@ def test_grid_rows_equal_one_element_grids():
     x = np.abs(simulate(ModelSpec("ma1", TDistParams(2.0), coef=0.5), 1000, seed=5))
     ks = list(range(10, 101, 10))
     for phi, adjust in PAIRS:
-        grid = tail_grid(x, ks, phi, adjust, path=True)
+        grid = tail_grid(x, ks, phi, adjust)
         for j, k in enumerate(ks):
-            one = tail_grid(x, [k], phi, adjust, path=True)
-            assert np.array_equal(grid.deviations[j], one.deviations[0])
+            one = tail_grid(x, [k], phi, adjust)
+            assert (grid.threshold[j], grid.total[j]) == (one.threshold[0], one.total[0])
             assert (grid.statistic[j], grid.l_hat[j]) == (one.statistic[0], one.l_hat[0])
             assert grid.alpha_hat[j] == pytest.approx(one.alpha_hat[0], rel=1e-14)
             assert grid.scale[j] == pytest.approx(one.scale[0], rel=1e-14)
+
+
+# ties make rows of one block differ in their count m of values above the
+# smallest threshold; zeros give zero thresholds
+BLOCK_VALUES = st.sampled_from([0.0, 1.0, 2.0, 5.0]) | st.floats(0.5, 9.0)
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 6), st.integers(2, 14), st.data())
+def test_block_rows_equal_single_series(rows, n, data):
+    block = np.array(data.draw(st.lists(st.lists(BLOCK_VALUES, min_size=n, max_size=n), min_size=rows,
+                                        max_size=rows)))
+    if data.draw(st.booleans()):
+        block[:, 0] = 10.0  # the first value exceeds every threshold
+    if data.draw(st.booleans()):
+        block[0] = 3.0  # a fully tied row: nothing lies above its smallest threshold
+    ks = data.draw(st.lists(st.integers(min_value=1, max_value=n + 1), min_size=1, max_size=5))
+    for phi in (None, "indicator", "log_excess"):
+        for adjust in ("iid", "lag1"):
+            grid = tail_grid(block, ks, phi, adjust)
+            for r, series in enumerate(block):
+                one = tail_grid(series, ks, phi, adjust)
+                for name in TailGrid._fields:
+                    want, got = getattr(one, name), getattr(grid, name)
+                    if want is None:
+                        assert got is None, name
+                    else:
+                        assert got.shape == (rows, len(ks)), name
+                        assert got[r].tobytes() == want.tobytes(), (name, phi, adjust, r)
 
 
 def test_fully_tied_top_keeps_alpha_infinite():

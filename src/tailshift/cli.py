@@ -183,6 +183,22 @@ def cmd_tables(args) -> int:
     return 0
 
 
+_BURR_FLAGS = ("lam", "alpha", "beta", "gamma")
+
+
+def _reject_unused_flags(args) -> None:
+    """A law flag that the model or a missing ``--change-tau`` would leave unused is a usage error."""
+    if args.change_tau is None:
+        for name in ("nu",) + _BURR_FLAGS:
+            if getattr(args, "post_" + name) is not None:
+                raise ValueError(f"--post-{name} requires --change-tau")
+    unused = ("nu",) if args.model == "iid-burr" else _BURR_FLAGS
+    for prefix in ("", "post_"):
+        for name in unused:
+            if getattr(args, prefix + name) is not None:
+                raise ValueError(f"--{prefix.replace('_', '-')}{name} does not apply to --model {args.model}")
+
+
 def _innovation_from_args(args, prefix: str = ""):
     get = lambda name: getattr(args, prefix + name)
     flag = "--" + prefix.replace("_", "-")
@@ -190,10 +206,11 @@ def _innovation_from_args(args, prefix: str = ""):
         gamma = get("gamma")
         if gamma is None:
             raise ValueError(f"{flag}gamma is required for iid-burr")
+        beta = {} if get("beta") is None else {"beta": get("beta")}
         if get("lam") is not None:
-            return BurrParams(lam=get("lam"), beta=get("beta"), gamma=gamma)
+            return BurrParams(lam=get("lam"), gamma=gamma, **beta)
         if get("alpha") is not None:
-            return BurrParams.from_alpha(get("alpha"), gamma, beta=get("beta"))
+            return BurrParams.from_alpha(get("alpha"), gamma, **beta)
         raise ValueError(f"iid-burr requires {flag}lam or {flag}alpha (with {flag}gamma)")
     nu = get("nu")
     if nu is None:
@@ -203,6 +220,7 @@ def _innovation_from_args(args, prefix: str = ""):
 
 def cmd_simulate(args) -> int:
     kind = {"iid-burr": "iid", "ma1-t": "ma1", "ar1-t": "ar1"}[args.model]
+    _reject_unused_flags(args)
     innovation = _innovation_from_args(args)
     model = ModelSpec(kind, innovation, coef=args.coef)
     change = None
@@ -269,14 +287,14 @@ def build_parser() -> argparse.ArgumentParser:
     burr = p_sim.add_mutually_exclusive_group()
     burr.add_argument("--lam", type=float, help="Burr lam parameter")
     burr.add_argument("--alpha", type=float, help="Burr tail exponent (alternative to --lam)")
-    p_sim.add_argument("--beta", type=float, default=1.0, help="Burr beta parameter")
+    p_sim.add_argument("--beta", type=float, help="Burr beta parameter (default 1)")
     p_sim.add_argument("--gamma", type=float, help="Burr gamma parameter (negative)")
     p_sim.add_argument("--change-tau", type=float, help="inject a change at this sample fraction")
     p_sim.add_argument("--post-nu", type=float, help="post-change t degrees of freedom")
     post_burr = p_sim.add_mutually_exclusive_group()
     post_burr.add_argument("--post-lam", type=float, help="post-change Burr lam")
     post_burr.add_argument("--post-alpha", type=float, help="post-change Burr tail exponent")
-    p_sim.add_argument("--post-beta", type=float, default=1.0)
+    p_sim.add_argument("--post-beta", type=float, help="post-change Burr beta (default 1)")
     p_sim.add_argument("--post-gamma", type=float)
     p_sim.add_argument("--out", help="write the series here instead of stdout")
     p_sim.set_defaults(func=cmd_simulate)

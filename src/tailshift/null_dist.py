@@ -8,6 +8,8 @@ recipe that discretizes the bridge as a standard normal partial-sum path.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -50,6 +52,15 @@ def analytic_quantile(level: float) -> float:
     return float(kolmogi(1.0 - level))
 
 
+def _sup_deviation(rng: np.random.Generator, ls: np.ndarray) -> float:
+    """One bridge supremum from ``ls.size`` normals of ``rng``; ``ls`` is ``1..n``."""
+    n_points = ls.size
+    partial = np.cumsum(rng.standard_normal(n_points))
+    d = deviation(partial, ls, n_points, partial[-1])
+    # D(n) = 0, so max(d.max(), -d.min()) is exactly max |d|, without the |d| temporary
+    return float(max(d.max(), -d.min()) / math.sqrt(n_points))
+
+
 def simulate_L(n_points: int, seed=None) -> float:
     """One draw of the discretized bridge supremum.
 
@@ -58,11 +69,14 @@ def simulate_L(n_points: int, seed=None) -> float:
     scaled by ``1 / sqrt(n_points)``.
     """
     n_points = as_int(n_points, "n_points", 2)
-    rng = as_generator(seed)
-    eps = rng.standard_normal(n_points)
-    partial = np.cumsum(eps)
-    deviations = deviation(partial, np.arange(1, n_points + 1), n_points, partial[-1])
-    return float(np.max(np.abs(deviations)) / math.sqrt(n_points))
+    return _sup_deviation(as_generator(seed), np.arange(1, n_points + 1))
+
+
+def _worker_count() -> int:
+    """Cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def mc_critical_values(
@@ -73,8 +87,12 @@ def mc_critical_values(
 ) -> CriticalValueTable:
     """Empirical quantiles of ``n_rep`` simulated bridge suprema.
 
-    Replicate ``r`` draws from the split stream ``(seed, r)``, so the table is
-    deterministic given ``seed`` and independent of evaluation order.
+    Replicate ``r`` draws from the split stream ``(seed, r)`` and its supremum
+    is stored at position ``r``, so the table is deterministic given ``seed``.
+    The paths run on one thread per available core, each thread taking one
+    contiguous run of replicates; numpy releases the GIL while it draws and
+    sums a path. The table is identical to the serial recipe's for every core
+    count and schedule.
     """
     levels = tuple(float(lv) for lv in levels)
     if not levels:
@@ -82,9 +100,21 @@ def mc_critical_values(
     if any(not 0.0 < lv < 1.0 for lv in levels):
         raise ValueError(f"levels must lie in (0, 1), got {levels}")
     n_rep = as_int(n_rep, "n_rep", 100)
+    seed = as_int(seed, "seed", 0)
+    n_points = as_int(n_points, "n_points", 2)
+    ls = np.arange(1, n_points + 1)
     draws = np.empty(n_rep)
-    for r in range(n_rep):
-        draws[r] = simulate_L(n_points, replication_rng(seed, r))
+
+    def fill(start: int, stop: int) -> None:
+        for r in range(start, stop):
+            draws[r] = _sup_deviation(replication_rng(seed, r), ls)
+
+    workers = min(_worker_count(), n_rep)
+    bounds = [n_rep * i // workers for i in range(workers + 1)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        chunks = [pool.submit(fill, start, stop) for start, stop in zip(bounds, bounds[1:])]
+        for chunk in chunks:
+            chunk.result()  # re-raises a worker's exception here
     values = tuple(float(q) for q in np.quantile(draws, levels))
     return CriticalValueTable(
         levels=levels,

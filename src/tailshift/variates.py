@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import lfilter
 
-from .tail_core import as_int
+from .tail_core import as_int, finite_series
 
 __all__ = [
     "AR_BURNIN",
@@ -198,6 +198,7 @@ def simulate(model: ModelSpec, n: int, seed=None, change: ChangeSpec | None = No
     steps from zero, discarded) use the pre-change law. Draw order is fixed --
     presample/burn-in and pre-change innovations first, then post-change --
     so a given ``(model, n, seed, change)`` always yields the same path.
+    A path that overflows is a ``ValueError`` naming the model and its laws.
     """
     n = as_int(n, "n", 1)
     rng = as_generator(seed)
@@ -212,10 +213,17 @@ def simulate(model: ModelSpec, n: int, seed=None, change: ChangeSpec | None = No
 
     # draws before observation 1: the MA(1) presample lag or the AR(1) burn-in
     lead = {"iid": 0, "ma1": 1, "ar1": AR_BURNIN}[model.kind]
-    xi = np.concatenate([_draw(pre_law, lead + n_pre, rng), _draw(post_law, n - n_pre, rng)])
-    if model.kind == "iid":
-        return xi
-    if model.kind == "ma1":
-        return xi[1:] + model.coef * xi[:-1]
-    # ar1: recursion x_i = coef * x_{i-1} + xi_i from zero, burn-in discarded.
-    return lfilter([1.0], [1.0, -model.coef], xi)[AR_BURNIN:]
+    # an overflow is reported below, as a path that is not finite
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        xi = np.concatenate([_draw(pre_law, lead + n_pre, rng), _draw(post_law, n - n_pre, rng)])
+        if model.kind == "iid":
+            x = xi
+        elif model.kind == "ma1":
+            x = xi[1:] + model.coef * xi[:-1]
+        else:  # ar1: recursion x_i = coef * x_{i-1} + xi_i from zero, burn-in discarded
+            x = lfilter([1.0], [1.0, -model.coef], xi)[AR_BURNIN:]
+    try:
+        return finite_series(x)
+    except ValueError as exc:
+        laws = repr(pre_law) if change is None else f"{pre_law!r} then {post_law!r}"
+        raise ValueError(f"{model.kind} path of {laws} is not finite: {exc}") from None

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -403,6 +404,47 @@ def test_simulate_rejects_ignored_and_conflicting_flags(capsys):
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.endswith(message)
+
+
+SIM_BURR = ["simulate", "--model", "iid-burr", "--lam", "1", "--gamma", "-1", "--n", "2", "--seed", "1"]
+SIM_T = ["simulate", "--model", "ma1-t", "--nu", "3", "--coef", "0.5", "--n", "2", "--seed", "1"]
+
+
+def assert_error_exit(capsys, argv, message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+def test_simulate_rejects_t_flags_with_burr(capsys):
+    assert_error_exit(capsys, SIM_BURR + ["--nu", "3"], "--nu does not apply to --model iid-burr")
+    assert_error_exit(capsys, SIM_BURR + ["--change-tau", "0.5", "--post-lam", "2", "--post-gamma", "-1",
+                                           "--post-nu", "3"], "--post-nu does not apply to --model iid-burr")
+
+
+def test_simulate_rejects_burr_flags_with_t_models(capsys):
+    for model in ("ma1-t", "ar1-t"):
+        t = ["simulate", "--model", model, "--nu", "3", "--coef", "0.5", "--n", "2"]
+        for flag in ("--lam", "--alpha", "--beta", "--gamma"):
+            assert_error_exit(capsys, t + [flag, "1"], f"{flag} does not apply to --model {model}")
+            assert_error_exit(capsys, t + ["--change-tau", "0.5", "--post-nu", "1", "--post" + flag[1:], "1"],
+                               f"--post{flag[1:]} does not apply to --model {model}")
+
+
+def test_simulate_rejects_post_flags_without_change_tau(capsys):
+    for argv, flag in ((SIM_T, "--post-nu"), (SIM_BURR, "--post-lam"), (SIM_BURR, "--post-alpha"),
+                       (SIM_BURR, "--post-beta"), (SIM_BURR, "--post-gamma")):
+        assert_error_exit(capsys, argv + [flag, "2"], f"{flag} requires --change-tau")
+
+
+def test_simulate_overflow_is_a_named_error(capsys):
+    argv = ["simulate", "--model", "iid-burr", "--lam", "0.001", "--gamma", "-1", "--n", "5", "--seed", "1"]
+    message = ("iid path of BurrParams(lam=0.001, beta=1.0, gamma=-1.0) is not finite: "
+               "series contains a non-finite value at index 0 (inf)")
+    for action in ("error", "ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            assert_error_exit(capsys, argv, message)
 
 
 def test_simulate_pipes_into_test(tmp_path, capsys):

@@ -1,10 +1,12 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from scipy.stats import kstwobign
 
 from oracles import kolmogorov_cdf, kolmogorov_quantile
+from tailshift import null_dist
 from tailshift.null_dist import (
     CriticalValueTable,
     analytic_critical_values,
@@ -12,7 +14,7 @@ from tailshift.null_dist import (
     mc_critical_values,
     simulate_L,
 )
-from tailshift.variates import as_generator
+from tailshift.variates import as_generator, replication_rng
 
 STANDARD_LEVELS = (0.90, 0.95, 0.99)
 
@@ -56,19 +58,26 @@ def test_analytic_quantile_solves_the_cdf():
 # simulated law
 # ---------------------------------------------------------------------------
 
-class _ConstantNormals(np.random.Generator):
-    """Degenerate stub: every 'normal' draw equals one."""
+class _FixedNormals(np.random.Generator):
+    """Degenerate stub: the 'normal' draws are a fixed vector."""
 
-    def __init__(self):
+    def __init__(self, eps):
         super().__init__(np.random.Philox(0))
+        self.eps = np.asarray(eps, dtype=float)
 
     def standard_normal(self, size=None):
-        return np.ones(size)
+        return self.eps[:size].copy()
 
 
 def test_simulate_L_constant_path_is_zero():
     # exact zero in exact arithmetic; the l/N * total share rounds in floats
-    assert simulate_L(100, _ConstantNormals()) == pytest.approx(0.0, abs=1e-12)
+    assert simulate_L(100, _FixedNormals(np.ones(100))) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_simulate_L_takes_the_larger_side_of_the_path():
+    # partial sums -1, -2, -2, 0 (total 0): the supremum is |min| = 2, over sqrt(4)
+    assert simulate_L(4, _FixedNormals([-1, -1, 0, 2])) == 1.0
+    assert simulate_L(4, _FixedNormals([1, 1, 0, -2])) == 1.0
 
 
 def test_simulate_L_matches_brute_force_on_shared_draws():
@@ -117,6 +126,36 @@ def test_mc_table_monotone_and_deterministic():
     assert a.values[0] < a.values[1] < a.values[2]
     c = mc_critical_values(STANDARD_LEVELS, n_points=1000, n_rep=400, seed=10)
     assert c != a
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_mc_table_equals_the_serial_loop_for_any_worker_count(monkeypatch, workers):
+    monkeypatch.setattr(null_dist, "_worker_count", lambda: workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so chunks interleave
+    try:
+        for n_rep in (100, 101, 257):
+            for n_points in (2, 1000):
+                table = mc_critical_values(STANDARD_LEVELS, n_points=n_points, n_rep=n_rep, seed=7)
+                serial = [simulate_L(n_points, replication_rng(7, r)) for r in range(n_rep)]
+                assert table.values == tuple(float(q) for q in np.quantile(serial, STANDARD_LEVELS))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_mc_worker_exception_reaches_the_caller(monkeypatch):
+    class Boom(RuntimeError):
+        pass
+
+    def failing_rng(seed, r):
+        if r == 150:
+            raise Boom(f"replicate {r}")
+        return replication_rng(seed, r)
+
+    monkeypatch.setattr(null_dist, "_worker_count", lambda: 2)
+    monkeypatch.setattr(null_dist, "replication_rng", failing_rng)
+    with pytest.raises(Boom, match="^replicate 150$"):
+        mc_critical_values(STANDARD_LEVELS, n_points=50, n_rep=200, seed=1)
 
 
 def test_mc_validation():

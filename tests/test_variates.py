@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.stats import burr12, kstest
@@ -249,3 +251,24 @@ def test_simulate_validation():
         simulate(ModelSpec("iid", T3), 5, seed=-1)
     with pytest.raises(TypeError, match="^n must be an integer"):
         simulate(ModelSpec("iid", T3), 5.0, seed=1)
+
+
+@pytest.mark.parametrize("action", ["error", "ignore"])
+def test_simulate_names_the_law_of_a_path_that_overflows(action):
+    tiny_nu = TDistParams(1e-3)
+    cases = [
+        (ModelSpec("iid", BurrParams(lam=0.001)), None,
+         "iid path of BurrParams(lam=0.001, beta=1.0, gamma=-1.0) is not finite: "
+         "series contains a non-finite value at index 0 (inf)"),
+        (ModelSpec("ma1", tiny_nu, coef=0.5), None,
+         "ma1 path of TDistParams(nu=0.001) is not finite: series contains a non-finite value at index 0 (nan)"),
+        (ModelSpec("ar1", T3, coef=0.5), ChangeSpec(0.5, T3, tiny_nu),
+         "ar1 path of TDistParams(nu=3.0) then TDistParams(nu=0.001) is not finite: "
+         "series contains a non-finite value at index 5 (inf)"),
+    ]
+    for model, change, message in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            with pytest.raises(ValueError) as info:
+                simulate(model, 10, seed=1, change=change)
+        assert str(info.value) == message

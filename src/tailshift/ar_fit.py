@@ -113,7 +113,8 @@ def fit_ar(x, order: int, method: str = "ols") -> ArFit:
     order = check_fit_args(v.size, order, method)
     lags = _lag_matrix(v, order)
     coef = _fit_ols(v, order, lags) if method == "ols" else _fit_yule_walker(v, order)
-    residuals = v[order:] - np.dot(lags, coef)  # not lags @ coef: matmul is slow for (n, p) by (p,)
+    residuals = np.dot(lags, coef)  # not lags @ coef: matmul is slow for (n, p) by (p,)
+    np.subtract(v[order:], residuals, out=residuals)
     return ArFit(order=order, coefficients=coef, residuals=residuals, method=method)
 
 

@@ -139,7 +139,8 @@ def run_table(spec: SimulationSpec) -> TableResult:
                     series = fit_ar(series, spec.ar_order, spec.ar_method).residuals
                 except DegenerateDataError:  # an error at every k
                     continue
-            block.append(nonneg_view(series))
+            # simulate has checked the path is finite; a residual can still overflow
+            block.append(np.abs(series) if spec.test == "direct" else nonneg_view(series))
         if not block:
             continue
         grid = tail_grid(np.stack(block), ks, spec.phi, spec.adjust)

@@ -3,7 +3,9 @@
 :func:`tail_grid` takes the non-negative view ``v`` of one series, shape
 ``(n,)``, or of a block of series, shape ``(R, n)``, and an integer grid
 ``ks``; its fields have shape ``(K,)`` or ``(R, K)``. It selects the top
-``max(k) + 1`` values of each series and sorts only those. For all k at once
+``max(k) + 1`` values of each series and sorts only those (a long single
+series is first cut to its values at least a bound, read off a strided sample,
+that ``max(k) + 1`` of them reach, so none is lost). For all k at once
 it evaluates the thresholds (the k-th largest values), the exceedances over
 them and their log sizes (on the m values above the smallest threshold only),
 the statistic with its first maximizer, the Hill estimate over the (k+1)-th
@@ -108,10 +110,9 @@ def tail_grid(v: np.ndarray, ks, phi: str | None = None, adjust: str = "iid") ->
     kk = np.minimum(ks, n - 1)
     # ufunc reductions, not the .max()/.sum() methods, whose wrappers outweigh the work on a short series
     kmax = int(np.maximum.reduce(kk))
-    # Only the top kmax + 1 values are read: copy them out of the partition (freed at once), sort them.
-    srt = np.partition(v, n - kmax - 1)[..., n - kmax - 1:].copy()
-    srt.sort()
-    srt = srt[..., ::-1]
+    # Only the top kmax + 1 values are read: sort a copy of them out of the partition (freed at once).
+    pos, pool = _pool(v, kmax)
+    srt = np.sort(np.partition(pool, -kmax - 1)[..., -kmax - 1:])[..., ::-1]
     threshold = srt.take(kk - 1, axis=-1)
     # the block's smallest threshold and (k+1)-th largest value, for excess_sizes
     lowest = srt[kmax - 1:kmax + 1] if v.ndim == 1 else np.minimum.reduce(srt[:, kmax - 1:kmax + 1])
@@ -143,7 +144,7 @@ def tail_grid(v: np.ndarray, ks, phi: str | None = None, adjust: str = "iid") ->
     # work runs on those (..., K, m) columns only. Ties give rows different m: padding to one m
     # would regroup the pairwise sums, so the rows of each m go together.
     if v.ndim == 1:
-        hits = (v > srt[kmax - 1]).nonzero()[0]
+        hits = (pool > srt[kmax - 1]).nonzero()[0] if pos is None else pos[pool > srt[kmax - 1]]
         sums = _segments(v, hits, threshold, lowest[0], kk, finite_alpha, phi, adjust)
     else:
         above = v > srt[:, kmax - 1, None]  # each series' values above its smallest threshold
@@ -156,6 +157,23 @@ def tail_grid(v: np.ndarray, ks, phi: str | None = None, adjust: str = "iid") ->
             for name, value in part.items():
                 sums.setdefault(name, np.empty(threshold.shape, value.dtype))[rows] = value
     return TailGrid(**out, **sums)
+
+
+def _pool(v: np.ndarray, kmax: int) -> tuple[np.ndarray | None, np.ndarray]:
+    """Positions (ascending; None: all) and values of the part of ``v`` that holds its top ``kmax + 1``.
+
+    A long series keeps its values at least the g-th largest of the sample ``v[::s]`` (a guess at the
+    2(kmax+1)-th largest of ``v``) if kmax + 1 of them reach it, else at least the sample's (kmax+1)-th.
+    """
+    s = v.shape[-1] // (8 * (kmax + 1))
+    if s < 16 or v.shape[-1] < 2**15 or v.ndim > 1:  # shorter series and blocks: all of v
+        return None, v
+    g = 2 * (kmax + 1) // s + 1
+    top = np.partition(v[::s], -kmax - 1)[-kmax - 1:]  # the sample's kmax + 1 largest, the least first
+    for c in (np.partition(top, -g)[-g], top[0]):
+        pos = (v >= c).nonzero()[0]
+        if pos.size > kmax:
+            return pos, v.take(pos)
 
 
 def _segments(v, hits, threshold, low, kk, finite_alpha, phi, adjust) -> dict:

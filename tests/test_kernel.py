@@ -1,6 +1,7 @@
 import ast
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import OracleDegenerate, tail_test_oracle
+from tailshift import kernel
 from tailshift.cusum import TailTestConfig, cusum_statistic, deviation_process, run_test
 from tailshift.kernel import TailGrid, tail_grid
 from tailshift.tail_core import DegenerateThresholdError, _at_k, estimate_omega, hill
@@ -139,6 +141,92 @@ def test_block_rows_equal_single_series(rows, n, data):
                     else:
                         assert got.shape == (rows, len(ks)), name
                         assert got[r].tobytes() == want.tobytes(), (name, phi, adjust, r)
+
+
+def _assert_same_grids(got_grid, want_grid, where):
+    for name in TailGrid._fields:
+        want, got = getattr(want_grid, name), getattr(got_grid, name)
+        if want is None:
+            assert got is None, (name, where)
+        else:
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (name, where)
+
+
+def _sorted_pool(v, kmax):
+    """The least pool, from a full sort: the positions and values at least the (kmax+1)-th largest."""
+    pos = (v >= np.sort(v)[-kmax - 1]).nonzero()[0]
+    return pos, v[pos]
+
+
+def _assert_sampled_selection_exact(v, ks):
+    """A long series goes through the sampled pool, and every grid equals the block row and the full sort."""
+    kmax = min(max(ks), v.size - 1)
+    assert kernel._pool(v, kmax)[0] is not None  # the series is long enough to be sampled
+    for phi in (None, "indicator", "log_excess"):
+        for adjust in ("iid", "lag1"):
+            one = tail_grid(v, ks, phi, adjust)
+            row = tail_grid(v[None], ks, phi, adjust)
+            _assert_same_grids(one, TailGrid(*(None if f is None else f[0] for f in row)), (phi, adjust))
+            with mock.patch.object(kernel, "_pool", _sorted_pool):
+                _assert_same_grids(one, tail_grid(v, ks, phi, adjust), (phi, adjust, "sort"))
+
+
+def _guess_count(v, kmax):
+    """How many values reach the sampled guess bound: the retry is taken when at most kmax do."""
+    s = v.size // (8 * (kmax + 1))
+    return np.add.reduce(v >= np.sort(v[::s])[-(2 * (kmax + 1) // s + 1)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 200), st.integers(0, 20_000), st.sampled_from(["alphabet", "t", "pareto"]),
+       st.integers(1, 5), st.integers(0, 2**32 - 1), st.data())
+def test_sampled_selection_equals_the_block_row_and_a_full_sort(kmax, extra, kind, size, seed, data):
+    # 2**15 values and a stride of at least 16 take the sampled pool; tied alphabets tie at every bound
+    n = 2**15 + extra
+    rng = np.random.default_rng(seed)
+    if kind == "alphabet":
+        v = rng.integers(0, size + 1, n).astype(float)
+    elif kind == "t":
+        v = np.abs(rng.standard_t(size, n))
+    else:
+        v = np.round(rng.pareto(size / 2.0, n), 1)
+    ks = data.draw(st.lists(st.integers(1, kmax), min_size=1, max_size=4)) + [kmax]
+    _assert_sampled_selection_exact(v, ks)
+
+
+def test_sampled_selection_guess_bound_suffices():
+    v = np.abs(simulate(ModelSpec("ma1", TDistParams(3.0), coef=0.5), 50_000, seed=2))
+    assert _guess_count(v, 50) > 50
+    assert kernel._pool(v, 50)[1].size < 1000  # a pool of a few hundred values, not the series
+    _assert_sampled_selection_exact(v, [5, 20, 50])
+
+
+def test_sampled_selection_retries_when_the_sample_meets_every_spike():
+    # rising spikes at every s-th position, ties at 1 between them: the sample holds only spikes,
+    # so the guess bound is reached by g <= kmax values and the (kmax+1)-th sampled value is taken
+    n, kmax = 2**15, 50
+    s = n // (8 * (kmax + 1))
+    i = np.arange(n)
+    v = np.where(i % s == 0, 2.0 + i // s, 1.0)
+    assert _guess_count(v, kmax) <= kmax
+    assert kernel._pool(v, kmax)[1].size == kmax + 1
+    _assert_sampled_selection_exact(v, [1, 10, kmax])
+
+
+def test_sampled_selection_all_tied_pools_the_whole_series():
+    v = np.full(2**15, 2.0)
+    assert kernel._pool(v, 10)[0].tolist() == list(range(v.size))
+    _assert_sampled_selection_exact(v, [1, 10])
+    assert tail_grid(v, [10], "indicator").n_exceed.tolist() == [0]
+
+
+def test_short_series_and_blocks_are_not_sampled():
+    # below 2**15 values, or with a stride under 16, one partition of the whole series is cheaper
+    rng = np.random.default_rng(4)
+    assert kernel._pool(rng.random(2**15 - 1), 1)[0] is None
+    assert kernel._pool(rng.random(2**15), 2**15 // 128)[0] is None
+    assert kernel._pool(rng.random((2, 2**16)), 1)[0] is None
+    assert kernel._pool(rng.random(2**15), 2**15 // 128 - 1)[0] is not None
 
 
 def test_fully_tied_top_keeps_alpha_infinite():

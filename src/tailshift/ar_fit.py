@@ -3,13 +3,15 @@
 Fits are intercept-free (the modelled processes are mean-zero with symmetric
 innovations), either by least squares on the lagged design or by the
 Yule-Walker equations on raw (uncentered) autocovariances solved with
-``scipy.linalg.solve_toeplitz`` (the Levinson-Durbin recursion). The
-residual test applies the CUSUM machinery to the absolute residuals with the
-i.i.d. scaling: filtering out the autoregression removes the correlation
-effect, so no lag adjustment is needed.
+``scipy.linalg.solve_toeplitz`` (the Levinson-Durbin recursion). Fits run on
+the rows of a block, least squares as one stacked solve, and a single series
+is the block of one. The residual test applies the CUSUM machinery to the
+absolute residuals with the i.i.d. scaling: filtering out the autoregression
+removes the correlation effect, so no lag adjustment is needed.
 """
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,14 +51,7 @@ class ArFit:
     method: str
 
 
-def _lag_matrix(x: np.ndarray, p: int) -> np.ndarray:
-    # column j holds the lag-(j+1) values aligned with x[p:]
-    return np.column_stack([x[p - j: x.size - j] for j in range(1, p + 1)])
-
-
-def _fit_ols(x: np.ndarray, p: int, design: np.ndarray) -> np.ndarray:
-    gram = design.T @ design
-    rhs = design.T @ x[p:]
+def _fit_ols(gram: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray:
     try:
         coef = np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError as exc:
@@ -111,11 +106,36 @@ def fit_ar(x, order: int, method: str = "ols") -> ArFit:
     """
     v = finite_series(x)
     order = check_fit_args(v.size, order, method)
-    lags = _lag_matrix(v, order)
-    coef = _fit_ols(v, order, lags) if method == "ols" else _fit_yule_walker(v, order)
-    residuals = np.dot(lags, coef)  # not lags @ coef: matmul is slow for (n, p) by (p,)
-    np.subtract(v[order:], residuals, out=residuals)
-    return ArFit(order=order, coefficients=coef, residuals=residuals, method=method)
+    coef, residuals, errors = _fit_rows(v[None], order, method)
+    if errors:
+        raise errors[0]
+    return ArFit(order=order, coefficients=coef[0], residuals=residuals[0], method=method)
+
+
+def _fit_rows(x: np.ndarray, order: int, method: str):
+    """:func:`fit_ar` of each row of the block ``x``, bit for bit: the coefficients, the residuals and,
+    by row index, the ``DegenerateDataError`` of each row without a fit (whose values are then NaN)."""
+    n = x.shape[-1]
+    lags = np.empty((len(x), n - order, order))
+    for j in range(order):  # lags[i, :, j] holds the lag-(j+1) values of row i aligned with x[i, order:]
+        lags[..., j] = x[:, order - 1 - j: n - 1 - j]
+    coef, errors = None, {}
+    if method == "ols":
+        gram, rhs = np.matmul(lags.swapaxes(1, 2), lags), np.matmul(lags.swapaxes(1, 2), x[:, order:, None])
+        with suppress(np.linalg.LinAlgError):  # a singular row is found row by row below
+            coef = np.linalg.solve(gram, rhs)[..., 0]
+    if coef is None or not np.isfinite(coef).all():
+        coef = np.empty((len(x), order))
+        for i in range(len(x)):
+            try:
+                coef[i] = _fit_ols(gram[i], rhs[i, :, 0], order) if method == "ols" else _fit_yule_walker(x[i], order)
+            except DegenerateDataError as exc:
+                coef[i], errors[i] = np.nan, exc
+    residuals = np.empty((len(x), n - order))
+    for i in range(len(x)):
+        np.dot(lags[i], coef[i], out=residuals[i])  # not matmul: slow for (n, p) by (p,)
+    np.subtract(x[:, order:], residuals, out=residuals)
+    return coef, residuals, errors
 
 
 def residual_cusum(

@@ -151,7 +151,10 @@ def cmd_ar_test(args) -> int:
 
 def cmd_critical_values(args) -> int:
     if args.mc:
-        table = mc_critical_values(args.levels, n_points=args.paths, n_rep=args.reps, seed=args.seed)
+        try:
+            table = mc_critical_values(args.levels, n_points=args.paths, n_rep=args.reps, seed=args.seed)
+        except ValueError as exc:  # name the flags, not the parameters they set
+            raise ValueError(str(exc).replace("n_points", "--paths").replace("n_rep", "--reps")) from None
     else:
         table = analytic_critical_values(args.levels)
     sys.stdout.write(table.to_delimited())

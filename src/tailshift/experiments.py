@@ -5,8 +5,11 @@ every tail fraction in ``k_grid`` on the same simulated path (common random
 numbers across the k axis), and aggregates rejection rates, the mean squared
 error of the change-point fraction (when a change is injected) and the mean
 tail-exponent estimate. Replication ``r`` draws from the split stream
-``(seed, r)``; blocks of replications go through one kernel pass each, and the
-sums run in replication order, so reruns and any block size are bit-identical.
+``(seed, r)``, and only those draws run per replication: the paths, the AR fit
+and the fold of a block of replications are computed once for the block, as
+rows each bit-identical to its series alone, and the block goes through one
+kernel pass. The sums run in replication order, so reruns and any block size
+are bit-identical.
 
 ``table_specs`` reproduces the benchmark grids (numbered 2-10) used to
 calibrate this implementation: sizes for i.i.d. Burr samples and for MA(1)/
@@ -20,18 +23,18 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .ar_fit import DegenerateDataError, check_fit_args, fit_ar
+from .ar_fit import _fit_rows, check_fit_args
 from .cusum import TailTestConfig
 from .kernel import tail_grid
 from .null_dist import analytic_quantile
-from .tail_core import as_int, nonneg_view
+from .tail_core import _finite_rows, as_int
 from .variates import (
     BurrParams,
     ChangeSpec,
     ModelSpec,
     TDistParams,
+    _simulate_rows,
     replication_rng,
-    simulate,
 )
 
 __all__ = [
@@ -114,13 +117,13 @@ class TableResult:
 def run_table(spec: SimulationSpec) -> TableResult:
     """Run every replication of ``spec`` and aggregate per k.
 
-    Replications are simulated by blocks, each evaluated with its whole k grid
-    in one kernel pass. A documented degeneracy (a singular AR fit, or a grid
-    cell the kernel flags: too few residuals for k, a zero order-statistic
-    threshold, an infinite ``alpha_hat`` under the log-excess scaling) counts
-    as neither rejection nor acceptance; it is reported in ``error_count`` and
-    the rejection rate keeps ``replications`` as its denominator. Any other
-    error propagates.
+    Replications are simulated, fitted and folded by blocks, each evaluated
+    with its whole k grid in one kernel pass. A documented degeneracy (a
+    singular AR fit, or a grid cell the kernel flags: too few residuals for k,
+    a zero order-statistic threshold, an infinite ``alpha_hat`` under the
+    log-excess scaling) counts as neither rejection nor acceptance; it is
+    reported in ``error_count`` and the rejection rate keeps ``replications``
+    as its denominator. Any other error propagates.
     """
     ks = np.asarray(spec.k_grid)
     n_k = ks.size
@@ -131,25 +134,21 @@ def run_table(spec: SimulationSpec) -> TableResult:
     critical = analytic_quantile(1.0 - spec.level)
 
     for start in range(0, spec.replications, _BLOCK):
-        block = []
-        for r in range(start, min(start + _BLOCK, spec.replications)):
-            series = simulate(spec.model, spec.n, replication_rng(spec.seed, r), spec.change)
-            if spec.test == "ar_residual":
-                try:
-                    series = fit_ar(series, spec.ar_order, spec.ar_method).residuals
-                except DegenerateDataError:  # an error at every k
-                    continue
-            # simulate has checked the path is finite; a residual can still overflow
-            block.append(np.abs(series) if spec.test == "direct" else nonneg_view(series))
-        if not block:
-            continue
-        grid = tail_grid(np.stack(block), ks, spec.phi, spec.adjust)
+        rngs = [replication_rng(spec.seed, r) for r in range(start, min(start + _BLOCK, spec.replications))]
+        block = _simulate_rows(spec.model, spec.n, rngs, spec.change)
+        if spec.test == "ar_residual":
+            _, residuals, singular = _fit_rows(block, spec.ar_order, spec.ar_method)
+            # a singular fit is an error at every k; the paths are finite, but a residual can still overflow
+            block = _finite_rows(np.delete(residuals, list(singular), axis=0))
+            if not len(block):
+                continue
+        grid = tail_grid(np.abs(block), ks, spec.phi, spec.adjust)
         ok = ~grid.degenerate
         ok_count += np.add.reduce(ok, axis=0)
         rejects += np.add.reduce((grid.scale * grid.statistic >= critical) & ok, axis=0)
         alpha_sum = _add_in_order(alpha_sum, grid.alpha_hat, ok)
         if spec.change is not None:
-            sq_err = _add_in_order(sq_err, (grid.l_hat / block[0].size - spec.change.tau) ** 2, ok)
+            sq_err = _add_in_order(sq_err, (grid.l_hat / block.shape[-1] - spec.change.tau) ** 2, ok)
 
     rows = []
     for j, k in enumerate(spec.k_grid):

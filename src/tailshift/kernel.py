@@ -91,9 +91,10 @@ def deviation(running, ls, n: int, total):
     """``D(l) = S(l) - (l / n) * total`` at the positions ``ls``, given the running sums ``S(l)`` there.
 
     The one formula of the deviation process, for its segment ends and its full
-    path alike; the arguments broadcast.
+    path alike; ``ls / n * total`` has the shape of ``running``, and holds the result.
     """
-    return running - ls / n * total
+    d = ls / n * total
+    return np.subtract(running, d, out=d)
 
 
 def tail_grid(v: np.ndarray, ks, phi: str | None = None, adjust: str = "iid") -> TailGrid:

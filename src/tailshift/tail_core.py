@@ -51,10 +51,16 @@ def finite_series(x) -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"expected a 1-d series, got shape {v.shape}")
+    return _finite_rows(v[None])[0]
+
+
+def _finite_rows(v: np.ndarray) -> np.ndarray:
+    """The ``(R, n)`` block of series ``v``; a NaN or infinite value is rejected with its index in its series."""
     finite = np.isfinite(v)
     if not finite.all():
-        i = int(np.argmin(finite))
-        raise ValueError(f"series contains a non-finite value at index {i} ({float(v[i])!r})")
+        r = int(np.argmin(finite.all(axis=1)))  # the first series that holds one
+        i = int(np.argmin(finite[r]))
+        raise ValueError(f"series contains a non-finite value at index {i} ({float(v[r, i])!r})")
     return v
 
 

@@ -5,7 +5,9 @@ with an optional single switch of the innovation law; i.i.d. samples of a law
 are ``simulate(ModelSpec("iid", params), n, seed)``. Everything is
 reproducible: public entry points accept either an integer seed or a
 ``numpy.random.Generator``, and replication harnesses derive independent
-streams with :func:`replication_rng`.
+streams with :func:`replication_rng`. Paths are simulated as the rows of a
+block, one generator per row: only the draws run per row, and a single path is
+the block of one.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import lfilter
 
-from .tail_core import as_int, finite_series
+from .tail_core import _finite_rows, as_int
 
 __all__ = [
     "AR_BURNIN",
@@ -177,18 +179,6 @@ def burr_quantile(u, params: BurrParams):
     return float(x) if u_arr.ndim == 0 else x
 
 
-def _draw(params: InnovationParams, size: int, rng: np.random.Generator) -> np.ndarray:
-    if size == 0:
-        return np.empty(0)
-    if isinstance(params, BurrParams):
-        u = np.fmax(rng.random(size), _MIN_UNIFORM)
-        return burr_quantile(u, params)
-    # Exact t law: standard normal over sqrt(chi-square / nu).
-    z = rng.standard_normal(size)
-    w = rng.chisquare(params.nu, size)
-    return z / np.sqrt(w / params.nu)
-
-
 def simulate(model: ModelSpec, n: int, seed=None, change: ChangeSpec | None = None) -> np.ndarray:
     """Simulate a length-``n`` path of ``model``, optionally with a change.
 
@@ -200,8 +190,14 @@ def simulate(model: ModelSpec, n: int, seed=None, change: ChangeSpec | None = No
     so a given ``(model, n, seed, change)`` always yields the same path.
     A path that overflows is a ``ValueError`` naming the model and its laws.
     """
-    n = as_int(n, "n", 1)
-    rng = as_generator(seed)
+    return _simulate_rows(model, as_int(n, "n", 1), [as_generator(seed)], change)[0]
+
+
+def _simulate_rows(model: ModelSpec, n: int, rngs, change: ChangeSpec | None) -> np.ndarray:
+    """Paths of :func:`simulate` as the rows of a block, row ``i`` drawn from ``rngs[i]`` alone.
+
+    Only the draws run per row; the laws, the model's filter and the finiteness check
+    run once over the block, and each row is its generator's path, bit for bit."""
     if change is not None:
         # the epsilon keeps floor(10 * 0.7) = 7: n*tau lands a few ulps below
         # an integer whenever tau's decimal is not a binary fraction
@@ -213,17 +209,32 @@ def simulate(model: ModelSpec, n: int, seed=None, change: ChangeSpec | None = No
 
     # draws before observation 1: the MA(1) presample lag or the AR(1) burn-in
     lead = {"iid": 0, "ma1": 1, "ar1": AR_BURNIN}[model.kind]
+    cut = lead + n_pre
+    segments = [(law, slice(a, b)) for law, a, b in ((pre_law, 0, cut), (post_law, cut, lead + n)) if a < b]
+    # uniforms (Burr) or normals (t) in xi, the t law's chi-squares in w
+    xi, w = np.empty((len(rngs), lead + n)), np.empty((len(rngs), lead + n))
+    for i, rng in enumerate(rngs):
+        for law, cols in segments:
+            if isinstance(law, BurrParams):
+                rng.random(out=xi[i, cols])
+            else:
+                rng.standard_normal(out=xi[i, cols])
+                w[i, cols] = rng.chisquare(law.nu, cols.stop - cols.start)
     # an overflow is reported below, as a path that is not finite
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        xi = np.concatenate([_draw(pre_law, lead + n_pre, rng), _draw(post_law, n - n_pre, rng)])
+        for law, cols in segments:
+            if isinstance(law, BurrParams):
+                xi[:, cols] = burr_quantile(np.fmax(xi[:, cols], _MIN_UNIFORM), law)
+            else:  # exact t law: standard normal over sqrt(chi-square / nu)
+                xi[:, cols] /= np.sqrt(w[:, cols] / law.nu)
         if model.kind == "iid":
             x = xi
         elif model.kind == "ma1":
-            x = xi[1:] + model.coef * xi[:-1]
+            x = xi[:, 1:] + model.coef * xi[:, :-1]
         else:  # ar1: recursion x_i = coef * x_{i-1} + xi_i from zero, burn-in discarded
-            x = lfilter([1.0], [1.0, -model.coef], xi)[AR_BURNIN:]
+            x = lfilter([1.0], [1.0, -model.coef], xi, axis=-1)[:, AR_BURNIN:]
     try:
-        return finite_series(x)
+        return _finite_rows(x)
     except ValueError as exc:
         laws = repr(pre_law) if change is None else f"{pre_law!r} then {post_law!r}"
         raise ValueError(f"{model.kind} path of {laws} is not finite: {exc}") from None

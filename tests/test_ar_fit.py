@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import yule_walker_oracle
-from tailshift.ar_fit import DegenerateDataError, fit_ar, residual_cusum
+from tailshift.ar_fit import FIT_METHODS, DegenerateDataError, _fit_rows, fit_ar, residual_cusum
 from tailshift.tail_core import DegenerateThresholdError
 from tailshift.variates import ModelSpec, TDistParams, replication_rng, simulate
 
@@ -96,6 +96,28 @@ def test_residuals_are_the_lag_product_bit_for_bit(order, extra, seed):
         except DegenerateDataError:
             continue
         assert np.array_equal(fit.residuals, x[order:] - lags @ fit.coefficients)
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 8), st.integers(0, 300), st.integers(3, 6), st.integers(0, 10**6))
+def test_block_fits_are_the_fits_of_their_rows(order, extra, rows, seed):
+    # the middle row is zero: it has no fit and drops out, alone
+    x = np.stack([replication_rng(seed, r).standard_t(3.0, order + 2 + extra) for r in range(rows)])
+    x[rows // 2] = 0.0
+    for method in FIT_METHODS:
+        coef, residuals, errors = _fit_rows(x, order, method)
+        assert coef.shape == (rows, order) and residuals.shape == (rows, x.shape[1] - order)
+        assert rows // 2 in errors
+        for i in range(rows):
+            try:
+                fit = fit_ar(x[i], order, method)
+            except DegenerateDataError as exc:
+                assert str(errors.pop(i)) == str(exc)
+                continue
+            assert i not in errors
+            assert coef[i].tobytes() == fit.coefficients.tobytes()
+            assert residuals[i].tobytes() == fit.residuals.tobytes()
+        assert not errors
 
 
 def test_ols_normal_equation_gradient_vanishes():

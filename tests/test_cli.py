@@ -316,6 +316,16 @@ def test_critical_values_mc(capsys):
     assert captured.out == "" and captured.err == "error: seed must be non-negative, got -2\n"
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--reps", "50"], "--reps must be at least 100, got 50"),
+    (["--paths", "1"], "--paths must be at least 2, got 1"),
+])
+def test_critical_values_mc_names_its_flags(capsys, flags, message):
+    assert main(["critical-values", "--mc", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # tables command
 # ---------------------------------------------------------------------------

@@ -140,14 +140,14 @@ def test_sweep_isolates_failing_specs(monkeypatch):
     with pytest.raises(TypeError, match="^innovation must be a BurrParams or TDistParams"):
         ModelSpec("iid", "not-params")
     failing = replace(SMALL, n=61, label="failing")
-    real_simulate = experiments.simulate
+    real_simulate = experiments._simulate_rows
 
-    def simulate(model, n, *rest):
+    def simulate_rows(model, n, *rest):
         if n == failing.n:
             raise RuntimeError("draw failed, on purpose")
         return real_simulate(model, n, *rest)
 
-    monkeypatch.setattr(experiments, "simulate", simulate)
+    monkeypatch.setattr(experiments, "_simulate_rows", simulate_rows)
     results = sweep([SMALL, failing, SMALL])
     assert results[0].error is None
     assert results[1].error == "draw failed, on purpose" and results[1].rows == ()
@@ -177,8 +177,8 @@ BLOCK_SPECS = [
 def test_run_table_equals_the_per_replication_loop(spec, monkeypatch):
     block = experiments._BLOCK
     if spec.model.kind == "iid":
-        real_simulate = experiments.simulate
-        monkeypatch.setattr(experiments, "simulate", lambda *args: np.round(real_simulate(*args)))
+        real_rows, real_simulate = experiments._simulate_rows, simulate
+        monkeypatch.setattr(experiments, "_simulate_rows", lambda *args: np.round(real_rows(*args)))
         monkeypatch.setattr("oracles.simulate", lambda *args: np.round(real_simulate(*args)))
     for replications in (block + 7, 2 * block):
         spec = replace(spec, replications=replications)
@@ -188,20 +188,20 @@ def test_run_table_equals_the_per_replication_loop(spec, monkeypatch):
 
 
 def test_singular_fits_drop_out_of_their_block(monkeypatch):
-    # replications 3 and 10 fail mid-block, and the last 7 fill a block alone and all fail
+    # replications 3 and 10 are zero, so their OLS fits are singular mid-block;
+    # the last 7 fill a block alone and are all zero
     block = experiments._BLOCK
     spec = replace(BLOCK_SPECS[1], replications=block + 7)
     singular = {3, 10, *range(block, block + 7)}
     first_values = {simulate(spec.model, spec.n, replication_rng(spec.seed, r))[0] for r in singular}
-    real_fit = experiments.fit_ar
+    real_rows, real_simulate = experiments._simulate_rows, simulate
 
-    def fit_ar(x, *args):
-        if x[0] in first_values:
-            raise DegenerateDataError("singular design")
-        return real_fit(x, *args)
+    def zeroed(paths):
+        paths[np.isin(paths[:, 0], list(first_values))] = 0.0
+        return paths
 
-    monkeypatch.setattr(experiments, "fit_ar", fit_ar)
-    monkeypatch.setattr("oracles.fit_ar", fit_ar)
+    monkeypatch.setattr(experiments, "_simulate_rows", lambda *args: zeroed(real_rows(*args)))
+    monkeypatch.setattr("oracles.simulate", lambda *args: zeroed(real_simulate(*args)[None])[0])
     got = run_table(spec)
     assert [cell.error_count for cell in got.rows] == [len(singular)] * 2
     assert results_to_csv([got]) == results_to_csv([run_table_oracle(spec)])
@@ -364,16 +364,17 @@ def test_only_documented_degeneracies_are_counted(monkeypatch):
     import tailshift.experiments as experiments
     from tailshift.ar_fit import DegenerateDataError
 
-    def singular(*args):
-        raise DegenerateDataError("singular design")
+    def singular(x, *args):
+        errors = {i: DegenerateDataError("singular design") for i in range(len(x))}
+        return np.full((len(x), 1), np.nan), np.full((len(x), x.shape[1] - 1), np.nan), errors
 
-    monkeypatch.setattr(experiments, "fit_ar", singular)
+    monkeypatch.setattr(experiments, "_fit_rows", singular)
     assert [cell.error_count for cell in run_table(AR_SPEC).rows] == [3, 3]
 
     def broken(*args):
         raise ValueError("not a degeneracy")
 
-    monkeypatch.setattr(experiments, "fit_ar", broken)
+    monkeypatch.setattr(experiments, "_fit_rows", broken)
     with pytest.raises(ValueError, match="not a degeneracy"):
         run_table(AR_SPEC)
     results = sweep([SMALL, AR_SPEC])

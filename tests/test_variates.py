@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import burr12, kstest
 
 from tailshift.kernel import tail_grid
@@ -11,6 +13,7 @@ from tailshift.variates import (
     ChangeSpec,
     ModelSpec,
     TDistParams,
+    _simulate_rows,
     burr_quantile,
     replication_rng,
     simulate,
@@ -211,6 +214,26 @@ def test_ar1_matches_scalar_recursion():
         expected.append(x_prev)
     path = simulate(ModelSpec("ar1", T3, coef=coef), n, seed=29)
     assert np.allclose(path, expected[AR_BURNIN:], rtol=1e-12, atol=1e-12)
+
+
+LAWS = st.one_of(
+    st.builds(BurrParams, lam=st.floats(0.5, 4.0), gamma=st.floats(-4.0, -0.25)),
+    st.builds(TDistParams, nu=st.floats(0.5, 10.0)),
+)
+
+
+@settings(max_examples=80)
+@given(st.sampled_from(["iid", "ma1", "ar1"]), st.floats(-0.999, 0.999), LAWS, LAWS,
+       st.none() | st.floats(0.01, 0.99), st.integers(1, 40), st.integers(1, 4), st.integers(0, 10**6))
+@example("iid", 0.5, T3, BURR_A2, 0.2, 3, 3, 0)  # floor(n * tau) = 0: no pre-change innovation
+@example("ar1", 0.99, BURR_A2, T3, 0.2, 3, 3, 0)  # 0.99**AR_BURNIN: a row's burn-in forgets too little to hide a neighbour
+def test_block_rows_are_their_generators_paths(kind, coef, pre, post, tau, n, rows, seed):
+    model = ModelSpec(kind, pre, None if kind == "iid" else coef)
+    change = None if tau is None else ChangeSpec(tau, pre, post)
+    block = _simulate_rows(model, n, [replication_rng(seed, r) for r in range(rows)], change)
+    assert block.shape == (rows, n)
+    for r in range(rows):
+        assert block[r].tobytes() == simulate(model, n, replication_rng(seed, r), change).tobytes()
 
 
 def test_simulate_deterministic():

@@ -5,9 +5,13 @@ innovations), either by least squares on the lagged design or by the
 Yule-Walker equations on raw (uncentered) autocovariances solved with
 ``scipy.linalg.solve_toeplitz`` (the Levinson-Durbin recursion). Fits run on
 the rows of a block, least squares as one stacked solve, and a single series
-is the block of one. The residual test applies the CUSUM machinery to the
-absolute residuals with the i.i.d. scaling: filtering out the autoregression
-removes the correlation effect, so no lag adjustment is needed.
+is the block of one. Both methods share one failure rule: a row has no fit
+when its solve finds the system singular or returns a non-finite
+coefficient, as when finite values overflow the second moments, and it is
+then a ``DegenerateDataError`` naming the method and the order. The
+residual test applies the CUSUM machinery to the absolute residuals with the
+i.i.d. scaling: filtering out the autoregression removes the correlation
+effect, so no lag adjustment is needed.
 """
 from __future__ import annotations
 
@@ -32,7 +36,7 @@ FIT_METHODS = ("ols", "yule_walker")
 
 
 class DegenerateDataError(ValueError):
-    """Raised when the regression design or autocovariance system is singular."""
+    """Raised when an AR fit has no finite solution: its system is singular or its moments overflow."""
 
 
 @dataclass(frozen=True)
@@ -51,28 +55,11 @@ class ArFit:
     method: str
 
 
-def _fit_ols(gram: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray:
-    try:
-        coef = np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateDataError(f"singular normal equations for order {p}") from exc
-    if not np.all(np.isfinite(coef)):
-        raise DegenerateDataError(f"non-finite least-squares solution for order {p}")
-    return coef
-
-
 def _fit_yule_walker(x: np.ndarray, p: int) -> np.ndarray:
     n = x.size
     # raw second moments, no mean-centering
     acov = np.array([float(np.dot(x[: n - h], x[h:])) / n for h in range(p + 1)])
-    if acov[0] <= 0.0:
-        raise DegenerateDataError(
-            "zero lag-0 autocovariance; series is identically zero or vanishes at double precision"
-        )
-    try:
-        return solve_toeplitz(acov[:p], acov[1:])
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateDataError(f"singular autocovariance system for order {p}") from exc
+    return solve_toeplitz(acov[:p], acov[1:], check_finite=False)
 
 
 def check_fit_args(n: int, order, method: str, prefix: str = "") -> int:
@@ -120,21 +107,24 @@ def _fit_rows(x: np.ndarray, order: int, method: str):
     for j in range(order):  # lags[i, :, j] holds the lag-(j+1) values of row i aligned with x[i, order:]
         lags[..., j] = x[:, order - 1 - j: n - 1 - j]
     coef, errors = None, {}
-    if method == "ols":
-        gram, rhs = np.matmul(lags.swapaxes(1, 2), lags), np.matmul(lags.swapaxes(1, 2), x[:, order:, None])
-        with suppress(np.linalg.LinAlgError):  # a singular row is found row by row below
-            coef = np.linalg.solve(gram, rhs)[..., 0]
-    if coef is None or not np.isfinite(coef).all():
-        coef = np.empty((len(x), order))
+    # finite values can still overflow the moments; such a row gets no finite fit and is named below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if method == "ols":
+            gram, rhs = np.matmul(lags.swapaxes(1, 2), lags), np.matmul(lags.swapaxes(1, 2), x[:, order:, None])
+            with suppress(np.linalg.LinAlgError):  # a singular row is found row by row below
+                coef = np.linalg.solve(gram, rhs)[..., 0]
+        if coef is None or not np.isfinite(coef).all():
+            coef = np.full((len(x), order), np.nan)
+            for i in range(len(x)):
+                with suppress(np.linalg.LinAlgError):
+                    coef[i] = np.linalg.solve(gram[i], rhs[i, :, 0]) if method == "ols" else _fit_yule_walker(x[i], order)
+                if not np.isfinite(coef[i]).all():
+                    coef[i] = np.nan
+                    errors[i] = DegenerateDataError(f"no finite {method} fit of order {order}: singular or overflowing system")
+        residuals = np.empty((len(x), n - order))
         for i in range(len(x)):
-            try:
-                coef[i] = _fit_ols(gram[i], rhs[i, :, 0], order) if method == "ols" else _fit_yule_walker(x[i], order)
-            except DegenerateDataError as exc:
-                coef[i], errors[i] = np.nan, exc
-    residuals = np.empty((len(x), n - order))
-    for i in range(len(x)):
-        np.dot(lags[i], coef[i], out=residuals[i])  # not matmul: slow for (n, p) by (p,)
-    np.subtract(x[:, order:], residuals, out=residuals)
+            np.dot(lags[i], coef[i], out=residuals[i])  # not matmul: slow for (n, p) by (p,)
+        np.subtract(x[:, order:], residuals, out=residuals)
     return coef, residuals, errors
 
 

@@ -315,7 +315,7 @@ def main(argv=None) -> int:
         if hasattr(args, "seed") and args.seed is None:
             args.seed = _default_seed()
         return args.func(args)
-    except (ValueError, IndexError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -90,9 +90,8 @@ class SimulationSpec:
                 raise ValueError(f"every k must satisfy 1 <= k <= n - 2, got k={k}, n={self.n}")
         if self.test not in TEST_KINDS:
             raise ValueError(f"test must be one of {TEST_KINDS}, got {self.test!r}")
-        if self.test == "ar_residual":
-            # the AR order and method are checked as for a single fit
-            object.__setattr__(self, "ar_order", check_fit_args(self.n, self.ar_order, self.ar_method, "ar_"))
+        # the AR order and method are checked as for a single fit, for every test kind
+        object.__setattr__(self, "ar_order", check_fit_args(self.n, self.ar_order, self.ar_method, "ar_"))
 
 
 @dataclass(frozen=True)
@@ -119,11 +118,11 @@ def run_table(spec: SimulationSpec) -> TableResult:
 
     Replications are simulated, fitted and folded by blocks, each evaluated
     with its whole k grid in one kernel pass. A documented degeneracy (a
-    singular AR fit, or a grid cell the kernel flags: too few residuals for k,
-    a zero order-statistic threshold, an infinite ``alpha_hat`` under the
-    log-excess scaling) counts as neither rejection nor acceptance; it is
-    reported in ``error_count`` and the rejection rate keeps ``replications``
-    as its denominator. Any other error propagates.
+    singular or non-finite AR fit, or a grid cell the kernel flags: too few
+    residuals for k, a zero order-statistic threshold, an infinite
+    ``alpha_hat`` under the log-excess scaling) counts as neither rejection
+    nor acceptance; it is reported in ``error_count`` and the rejection rate
+    keeps ``replications`` as its denominator. Any other error propagates.
     """
     ks = np.asarray(spec.k_grid)
     n_k = ks.size
@@ -137,9 +136,9 @@ def run_table(spec: SimulationSpec) -> TableResult:
         rngs = [replication_rng(spec.seed, r) for r in range(start, min(start + _BLOCK, spec.replications))]
         block = _simulate_rows(spec.model, spec.n, rngs, spec.change)
         if spec.test == "ar_residual":
-            _, residuals, singular = _fit_rows(block, spec.ar_order, spec.ar_method)
-            # a singular fit is an error at every k; the paths are finite, but a residual can still overflow
-            block = _finite_rows(np.delete(residuals, list(singular), axis=0))
+            _, residuals, unfit = _fit_rows(block, spec.ar_order, spec.ar_method)
+            # a row without a fit is an error at every k; the paths are finite, but a residual can still overflow
+            block = _finite_rows(np.delete(residuals, list(unfit), axis=0))
             if not len(block):
                 continue
         grid = tail_grid(np.abs(block), ks, spec.phi, spec.adjust)

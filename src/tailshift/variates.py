@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy.signal import lfilter
@@ -199,9 +200,8 @@ def _simulate_rows(model: ModelSpec, n: int, rngs, change: ChangeSpec | None) ->
     Only the draws run per row; the laws, the model's filter and the finiteness check
     run once over the block, and each row is its generator's path, bit for bit."""
     if change is not None:
-        # the epsilon keeps floor(10 * 0.7) = 7: n*tau lands a few ulps below
-        # an integer whenever tau's decimal is not a binary fraction
-        n_pre = math.floor(n * change.tau + 1e-9)
+        # floor(n * tau) of tau's shortest decimal: n * 0.7 in floats can land below 7
+        n_pre = math.floor(Fraction(repr(float(change.tau))) * n)
         pre_law, post_law = change.pre, change.post
     else:
         n_pre = n

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -65,11 +66,17 @@ def test_non_finite_input_and_bool_order_are_rejected():
 
 
 def test_degenerate_designs_raise():
-    zeros = np.zeros(30)
-    with pytest.raises(DegenerateDataError):
-        fit_ar(zeros, 1, "ols")
-    with pytest.raises(DegenerateDataError):
-        fit_ar(zeros, 1, "yule_walker")
+    # an all-zero series is singular, and finite values whose second moments
+    # overflow have no finite solution: one named error under both methods,
+    # with no warning whatever the filter
+    zeros, overflow = np.zeros(30), np.array([1e200, -1e200, 3e200, 1e200, 2e200, -2e200])
+    for x in (zeros, overflow):
+        for method in FIT_METHODS:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(DegenerateDataError, match=f"^no finite {method} fit of order 1: "):
+                    fit_ar(x, 1, method)
+            assert caught == []
 
 
 def test_residual_identity_reconstructs_input():
@@ -99,15 +106,19 @@ def test_residuals_are_the_lag_product_bit_for_bit(order, extra, seed):
 
 
 @settings(max_examples=60)
-@given(st.integers(1, 8), st.integers(0, 300), st.integers(3, 6), st.integers(0, 10**6))
-def test_block_fits_are_the_fits_of_their_rows(order, extra, rows, seed):
-    # the middle row is zero: it has no fit and drops out, alone
+@given(st.integers(1, 8), st.integers(0, 300), st.integers(3, 6), st.integers(0, 10**6), st.booleans())
+def test_block_fits_are_the_fits_of_their_rows(order, extra, rows, seed, overflow):
+    # the middle row is zero, and with overflow the last row's values are of
+    # order 1e200, so its second moments overflow: each has no fit and drops out, alone
     x = np.stack([replication_rng(seed, r).standard_t(3.0, order + 2 + extra) for r in range(rows)])
     x[rows // 2] = 0.0
+    if overflow:
+        x[-1] *= 1e200
     for method in FIT_METHODS:
         coef, residuals, errors = _fit_rows(x, order, method)
         assert coef.shape == (rows, order) and residuals.shape == (rows, x.shape[1] - order)
         assert rows // 2 in errors
+        assert not overflow or rows - 1 in errors
         for i in range(rows):
             try:
                 fit = fit_ar(x[i], order, method)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tailshift import cli
+from tailshift import cli, experiments
 from tailshift.cli import main, read_series
 from tailshift.variates import BurrParams, ChangeSpec, ModelSpec, TDistParams, replication_rng, simulate
 
@@ -214,6 +214,16 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert main(["test", str(tmp_path / "missing.txt"), "--k", "2"]) == 1
 
 
+def test_bugs_propagate_out_of_main(tmp_path, monkeypatch):
+    # only bad input exits 1; an IndexError is a bug and is not turned into "error: ..."
+    def bug(*args):
+        raise IndexError("index 9 is out of bounds")
+
+    monkeypatch.setattr(cli, "run_test", bug)
+    with pytest.raises(IndexError, match="index 9"):
+        main(["test", write(tmp_path, HAND), "--k", "2"])
+
+
 def test_change_detection_exits_two(tmp_path, capsys):
     model = ModelSpec("iid", BurrParams.from_alpha(3.0, -1.0))
     change = ChangeSpec(0.5, BurrParams.from_alpha(3.0, -1.0), BurrParams.from_alpha(0.8, -1.0))
@@ -344,7 +354,7 @@ def test_tables_writes_grid(tmp_path, capsys):
     assert len(payload["results"]) == 4
 
 
-def test_tables_stdout_and_bad_id(capsys):
+def test_tables_stdout_and_bad_id(capsys, monkeypatch):
     assert main(["tables", "--table", "6", "--replications", "1", "--seed", "2"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 1 + 2 * 10
@@ -354,6 +364,21 @@ def test_tables_stdout_and_bad_id(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""  # no CSV: the other specs did not run on seeds 0-2
     assert captured.err == "error: seed must be non-negative, got -1\n"
+    # a failing spec gets an ERROR row and a stderr line; the other spec still runs
+    real_run_table = experiments.run_table
+
+    def failing(spec):
+        if spec.label == "size-ar1-resid(coef=0.5)":
+            raise ValueError("boom, here")
+        return real_run_table(spec)
+
+    monkeypatch.setattr(experiments, "run_table", failing)
+    assert main(["tables", "--table", "6", "--replications", "1", "--seed", "2"]) == 1
+    captured = capsys.readouterr()
+    failed = captured.out.strip().splitlines()
+    assert failed[:1] + failed[2:] == lines[:1] + lines[11:]
+    assert failed[1].startswith("size-ar1-resid(coef=0.5)/") and failed[1].endswith(",,,,,1,ERROR: boom; here")
+    assert captured.err == "error in spec size-ar1-resid(coef=0.5): boom, here\n"
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +428,7 @@ def test_simulate_rejects_ignored_and_conflicting_flags(capsys):
         # --coef with iid-burr was dropped; lam silently won over alpha
         (iid + ["--lam", "1", "--gamma", "-1", "--coef", "0.5"], "error: iid model takes no coefficient\n"),
         (["simulate", "--model", "ar1-t", "--nu", "3", "--n", "10"], "error: ar1 model requires a coefficient\n"),
+        (["simulate", "--model", "ma1-t", "--coef", "0.5", "--n", "10"], "error: --nu is required for ma1-t\n"),
         (iid + ["--lam", "1", "--alpha", "9", "--gamma", "-1"],
          "error: argument --alpha: not allowed with argument --lam\n"),
         (iid + ["--lam", "1", "--gamma", "-1", "--change-tau", "0.5", "--post-lam", "1", "--post-alpha", "2",
@@ -483,13 +509,20 @@ def test_env_seed_default(monkeypatch, capsys):
 # console script wiring
 # ---------------------------------------------------------------------------
 
-def test_console_script_subprocess():
+def test_console_script_subprocess(monkeypatch, capsys):
     proc = subprocess.run(
         [sys.executable, "-m", "tailshift.cli", "test", "-", "--k", "2"],
         input=HAND, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0
     assert "decision: no change detected" in proc.stdout
+    # the console-script target exits with main's code
+    for argv, code in ((["critical-values", "--levels", "0.95"], 0), (["bogus-command"], 1)):
+        monkeypatch.setattr(sys, "argv", ["tailshift", *argv])
+        with pytest.raises(SystemExit) as exc:
+            cli.entry_point()
+        assert exc.value.code == code
+    capsys.readouterr()
 
 
 def test_read_series_rejects_non_finite_with_line_number(tmp_path):

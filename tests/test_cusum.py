@@ -268,6 +268,16 @@ def test_config_rejects_non_integer_k(k):
         TailTestConfig(k=k)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("adjust", "lag2", "adjust must be one of"),
+    ("level", 0.0, "level must lie in \\(0, 1\\)"),
+    ("level", 1.0, "level must lie in \\(0, 1\\)"),
+])
+def test_config_rejects_bad_adjust_and_level(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        TailTestConfig(k=2, **{field: value})
+
+
 @settings(max_examples=50)
 @given(st.integers(min_value=1, max_value=60_000), st.sampled_from([np.int32, np.int64, np.uint16, int]))
 def test_config_accepts_integer_types_as_int(k, kind):

@@ -17,7 +17,7 @@ from tailshift.experiments import (
     sweep,
     table_specs,
 )
-from tailshift.ar_fit import DegenerateDataError
+from tailshift.ar_fit import FIT_METHODS, DegenerateDataError
 from tailshift.variates import BurrParams, ChangeSpec, ModelSpec, TDistParams, replication_rng, simulate
 
 T3 = TDistParams(3.0)
@@ -207,6 +207,19 @@ def test_singular_fits_drop_out_of_their_block(monkeypatch):
     assert results_to_csv([got]) == results_to_csv([run_table_oracle(spec)])
 
 
+def test_fits_whose_moments_overflow_are_counted_under_both_methods():
+    # Burr innovations with lam = 0.02 reach ~1e200: rows whose second moments
+    # overflow have no fit and are counted, under either method, without a warning
+    spec = SimulationSpec(
+        model=ModelSpec("ar1", BurrParams(lam=0.02, gamma=-1.0), coef=0.5), n=200, k_grid=(5, 20),
+        test="ar_residual", replications=64, seed=1,
+    )
+    for method in FIT_METHODS:
+        (result,) = sweep([replace(spec, ar_method=method)])
+        assert result.error is None
+        assert all(0 < cell.error_count < spec.replications for cell in result.rows)
+
+
 def test_non_finite_paths_name_the_index_in_their_series():
     # lam = 0.001 overflows at once; at lam = 0.005 replication 3 is the first
     # to overflow, at index 1 of its series; the text does not depend on the
@@ -392,3 +405,12 @@ def test_spec_validates_residual_length_and_integer_k():
             SimulationSpec(model=model, n=100, k_grid=(5, k))
     spec = SimulationSpec(model=model, n=100, k_grid=[np.int64(5), np.int32(10)])
     assert spec.k_grid == (5, 10) and all(type(k) is int for k in spec.k_grid)
+    # the AR fields are checked for a direct spec too, and never reach the report unchecked
+    for fields, message in ((dict(n=5, k_grid=(1,), ar_order=4), "need n >= ar_order \\+ 2"),
+                            (dict(ar_method="bogus"), "ar_method must be one of"),
+                            (dict(ar_order=0), "ar_order must be at least 1")):
+        with pytest.raises(ValueError, match=message):
+            replace(SMALL, **fields)
+    spec = replace(SMALL, ar_order=np.int64(2))
+    assert type(spec.ar_order) is int
+    assert json.loads(results_to_report([run_table(spec)]))["results"][0]["spec"]["ar_order"] == 2

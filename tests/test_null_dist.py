@@ -194,6 +194,8 @@ def test_analytic_table_and_delimited_export():
         assert float(got_level) == level
         assert float(got_value) == value  # repr round-trips bit-exactly
         assert got_source == "analytic"
+    with pytest.raises(ValueError, match="^levels must be non-empty$"):
+        analytic_critical_values([])
 
 
 def test_table_dataclass_roundtrip():

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -262,6 +263,9 @@ def test_change_index_is_floor_of_n_tau():
     change = ChangeSpec(0.7, BURR_A2, BurrParams.from_alpha(0.8, -1.0))
     path = simulate(ModelSpec("iid", BURR_A2), 10, seed=21, change=change)
     assert np.array_equal(path[:7], iid_sample(BURR_A2, 7, 21))
+    # 30 * 0.3333333333 = 9.999999999 stays below 10: the 10th innovation is post-change
+    near = simulate(ModelSpec("iid", BURR_A2), 30, seed=21, change=replace(change, tau=0.3333333333))
+    assert np.array_equal(near, simulate(ModelSpec("iid", BURR_A2), 30, seed=21, change=replace(change, tau=0.3)))
 
 
 def test_simulate_validation():

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel, null_dist
-from .tail_core import DegenerateThresholdError, _at_k, _positive_threshold, _zero_floor, as_int
+from .tail_core import _at_k, as_int
 
 __all__ = [
     "PHI_KINDS",
@@ -93,12 +93,6 @@ class TestOutcome:
     n_exceed: int
 
 
-def _one_k(x, k: int, phi: str) -> tuple[np.ndarray, kernel.TailGrid]:
-    _check_phi(phi)
-    v, grid = _at_k(x, k, phi)
-    return v, (_positive_threshold(grid, k) if phi == "log_excess" else grid)
-
-
 def deviation_process(x, k: int, phi: str = "indicator") -> np.ndarray:
     """Partial deviations ``D(l)`` of the transformed exceedances, ``l = 1..n``.
 
@@ -106,7 +100,8 @@ def deviation_process(x, k: int, phi: str = "indicator") -> np.ndarray:
     times their total, so ``D(n) = 0`` up to rounding. The threshold is the
     k-th largest absolute value and must be positive for the log transform.
     """
-    v, grid = _one_k(x, k, phi)
+    _check_phi(phi)
+    v, grid = _at_k(x, k, phi, needs=kernel.ZERO_THRESHOLD if phi == "log_excess" else 0)
     t = grid.threshold
     hits = (v > t[0]).nonzero()[0]
     # the running sums of the kernel's transformed exceedances, held from each one to the next
@@ -117,7 +112,8 @@ def deviation_process(x, k: int, phi: str = "indicator") -> np.ndarray:
 
 def cusum_statistic(x, k: int, phi: str = "indicator") -> tuple[float, int]:
     """Raw statistic ``max_l |D(l)| / sqrt(k)`` and the smallest maximizing ``l``."""
-    grid = _one_k(x, k, phi)[1]
+    _check_phi(phi)
+    grid = _at_k(x, k, phi, needs=kernel.ZERO_THRESHOLD if phi == "log_excess" else 0)[1]
     return float(grid.statistic[0]), int(grid.l_hat[0])
 
 
@@ -128,14 +124,8 @@ def run_test(x, cfg: TailTestConfig) -> TestOutcome:
     exist. Deterministic: the critical value is the analytic quantile at
     ``1 - level``, and the test rejects when ``scale * statistic`` reaches it.
     """
-    k = cfg.k
-    v, grid = _at_k(x, k, cfg.phi, cfg.adjust, test=True)
+    v, grid = _at_k(x, cfg.k, cfg.phi, cfg.adjust, kernel.TOO_SHORT | kernel.ZERO_FLOOR | kernel.INFINITE_ALPHA)
     n = v.size
-    alpha_hat = float(grid.alpha_hat[0])
-    if grid.degenerate[0]:
-        if np.isnan(alpha_hat):
-            raise _zero_floor(k)
-        raise DegenerateThresholdError("alpha_hat is infinite; the log-excess scaling is undefined")
     omega_hat = chi_hat = None
     if cfg.adjust == "lag1":
         omega_hat = float(grid.omega_hat[0])
@@ -148,11 +138,11 @@ def run_test(x, cfg: TailTestConfig) -> TestOutcome:
     critical_value = null_dist.analytic_quantile(1.0 - cfg.level)
     return TestOutcome(
         n=n,
-        k=k,
+        k=cfg.k,
         phi=cfg.phi,
         adjust=cfg.adjust,
         level=cfg.level,
-        alpha_hat=alpha_hat,
+        alpha_hat=float(grid.alpha_hat[0]),
         omega_hat=omega_hat,
         chi_hat=chi_hat,
         statistic=statistic,

@@ -118,8 +118,8 @@ def run_table(spec: SimulationSpec) -> TableResult:
 
     Replications are simulated, fitted and folded by blocks, each evaluated
     with its whole k grid in one kernel pass. A documented degeneracy (a
-    singular or non-finite AR fit, or a grid cell the kernel flags: too few
-    residuals for k, a zero order-statistic threshold, an infinite
+    singular or non-finite AR fit, or a grid cell whose kernel ``status`` is
+    not 0: too few residuals for k, a zero (k+1)-th largest value, an infinite
     ``alpha_hat`` under the log-excess scaling) counts as neither rejection
     nor acceptance; it is reported in ``error_count`` and the rejection rate
     keeps ``replications`` as its denominator. Any other error propagates.
@@ -142,7 +142,7 @@ def run_table(spec: SimulationSpec) -> TableResult:
             if not len(block):
                 continue
         grid = tail_grid(np.abs(block), ks, spec.phi, spec.adjust)
-        ok = ~grid.degenerate
+        ok = grid.status == 0
         ok_count += np.add.reduce(ok, axis=0)
         rejects += np.add.reduce((grid.scale * grid.statistic >= critical) & ok, axis=0)
         alpha_sum = _add_in_order(alpha_sum, grid.alpha_hat, ok)
@@ -284,7 +284,7 @@ def table_specs(
     The ``n = 3000`` half of each grid is heavy and only included when
     ``include_large`` is set.
     """
-    if table_id not in TABLE_IDS:
+    if as_int(table_id, "table_id") not in TABLE_IDS:
         raise ValueError(f"table_id must be in {TABLE_IDS[0]}..{TABLE_IDS[-1]}, got {table_id}")
     blocks = [(1000, _K_SMALL)]
     if include_large:

@@ -18,13 +18,19 @@ formulas and the only sort: the simulation harness passes a block of
 replications, and every single-k function of :mod:`tailshift.tail_core` and
 :mod:`tailshift.cusum` is a one-element grid evaluated through ``tail_core._at_k``.
 Callers decide at a level by comparing ``scale * statistic`` with the critical
-value; the kernel imports no package module.
+value. Only the kernel classifies the degeneracies of the test, as one status
+bit each per cell (0: the test has an outcome); it imports no package module.
 """
 from __future__ import annotations
 
 from typing import NamedTuple
 
 import numpy as np
+
+TOO_SHORT = 1  # n < max(4, k + 2): too few values for the change test
+ZERO_FLOOR = 2  # the (k+1)-th largest value is 0: Hill and alpha_hat are undefined
+ZERO_THRESHOLD = 4  # the k-th largest value is 0: log excesses are undefined (ZERO_FLOOR holds too)
+INFINITE_ALPHA = 8  # alpha_hat is infinite; flagged only under log_excess, whose scaling reads it
 
 
 class TailGrid(NamedTuple):
@@ -40,16 +46,16 @@ class TailGrid(NamedTuple):
     (meaningless for a zero threshold). Only with the lag-1 adjustment are
     ``cross`` (summed products of adjacent log excesses, meaningless for a
     zero threshold), ``omega_hat`` and ``chi_hat`` (NaN unless ``alpha_hat``
-    is finite). ``degenerate`` marks the documented degeneracies of the test,
-    where no outcome exists: ``n < max(4, k + 2)``, a zero (k+1)-th largest
-    value (every outcome reports ``alpha_hat``), and an infinite
-    ``alpha_hat`` under the log-excess scaling.
+    is finite). ``status`` holds one bit per documented degeneracy of the cell
+    (``TOO_SHORT``, ``ZERO_FLOOR``, ``ZERO_THRESHOLD``, and ``INFINITE_ALPHA``
+    under ``log_excess`` only); the change test has an outcome exactly where it
+    is 0 (every outcome reports ``alpha_hat``).
     """
 
     threshold: np.ndarray
     hill_mean: np.ndarray
     alpha_hat: np.ndarray
-    degenerate: np.ndarray
+    status: np.ndarray
     total: np.ndarray | None = None
     n_exceed: np.ndarray | None = None
     statistic: np.ndarray | None = None
@@ -104,7 +110,7 @@ def tail_grid(v: np.ndarray, ks, phi: str | None = None, adjust: str = "iid") ->
     such series of shape ``(R, n)``; every ``k`` is at least 1. Hill is always
     evaluated; the statistic and scaling only when ``phi`` names a transform;
     the lag-1 inflations only when ``adjust == "lag1"``. A column with
-    ``k > n - 1`` is evaluated at ``n - 1`` and flagged degenerate.
+    ``k > n - 1`` is evaluated at ``n - 1`` and flagged :data:`TOO_SHORT`.
     """
     n = v.shape[-1]
     ks = np.asarray(ks, dtype=np.int64)
@@ -128,11 +134,11 @@ def tail_grid(v: np.ndarray, ks, phi: str | None = None, adjust: str = "iid") ->
     with np.errstate(divide="ignore"):
         alpha_hat = 1.0 / hill_mean
 
-    degenerate = (ks > n - 2) | undefined if n >= 4 else np.ones(undefined.shape, dtype=bool)
+    status = TOO_SHORT * (np.maximum(ks + 2, 4) > n) | ZERO_FLOOR * undefined | ZERO_THRESHOLD * (threshold <= 0.0)
     if phi == "log_excess":
-        degenerate |= np.isinf(alpha_hat)
+        status |= INFINITE_ALPHA * np.isinf(alpha_hat)
     lag1 = adjust == "lag1"
-    out = dict(threshold=threshold, hill_mean=hill_mean, alpha_hat=alpha_hat, degenerate=degenerate)
+    out = dict(threshold=threshold, hill_mean=hill_mean, alpha_hat=alpha_hat, status=status)
     if phi is None and not lag1:
         return TailGrid(**out)
 

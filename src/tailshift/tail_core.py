@@ -3,7 +3,8 @@
 The estimators here, and the single-k tests of :mod:`tailshift.cusum`, reach
 the tail kernel (:mod:`tailshift.kernel`), the single implementation of their
 formulas and the only sort, through one entry, ``_at_k``: it views the
-series, checks ``k`` and evaluates a one-element k grid.
+series, checks ``k``, evaluates a one-element k grid and raises for the
+status bits of the degeneracies the caller's statistic cannot evaluate.
 
 All operations act on the absolute values of the data, so signed series such
 as regression residuals are handled transparently. Thresholds are order
@@ -80,32 +81,33 @@ def as_int(value, name: str, low: int | None = None) -> int:
     return value
 
 
-def _zero_floor(k: int) -> DegenerateThresholdError:
-    return DegenerateThresholdError(f"(k+1)-th largest value is 0 (k={k}); the mean log excess is undefined")
+_UNDEFINED = {  # the text of each status bit ``_at_k`` can raise for, in the order it checks them
+    kernel.ZERO_FLOOR: "(k+1)-th largest value is 0 (k={k}); the mean log excess is undefined",
+    kernel.ZERO_THRESHOLD: "k-th largest value is 0 (k={k}); log excesses are undefined",
+    kernel.INFINITE_ALPHA: "alpha_hat is infinite; the log-excess scaling is undefined",
+}
 
 
 def _at_k(x, k: int, phi: str | None = None, adjust: str = "iid",
-          test: bool = False) -> tuple[np.ndarray, kernel.TailGrid]:
+          needs: int = 0) -> tuple[np.ndarray, kernel.TailGrid]:
     """The absolute values of ``x`` and the one-element kernel grid at ``k``.
 
-    ``k`` must be an integer with ``1 <= k <= n - 1``; with ``test`` set, the
-    series must instead hold the ``max(4, k + 2)`` values the change test needs.
+    ``k`` must be an integer with ``1 <= k <= n - 1``; with ``TOO_SHORT`` in the
+    status bits ``needs``, the series must instead hold the ``max(4, k + 2)``
+    values the change test needs, and any other bit of ``needs`` the cell holds raises.
     """
     v = nonneg_view(x)
     n = v.size
-    if test:
+    if needs & kernel.TOO_SHORT:
         if n < max(4, k + 2):
             raise ValueError(f"need n >= max(4, k + 2) = {max(4, k + 2)}, got n = {n}")
     elif not 1 <= as_int(k, "k") <= n - 1:
         raise ValueError(f"k must satisfy 1 <= k <= n - 1 = {n - 1}, got {k}")
-    return v, kernel.tail_grid(v, [k], phi, adjust)
-
-
-def _positive_threshold(grid: kernel.TailGrid, k: int) -> kernel.TailGrid:
-    """The one-element ``grid`` at ``k``, unless its threshold is 0 and log excesses over it are undefined."""
-    if grid.threshold[0] <= 0.0:
-        raise DegenerateThresholdError(f"k-th largest value is 0 (k={k}); log excesses are undefined")
-    return grid
+    grid = kernel.tail_grid(v, [k], phi, adjust)
+    for bit, text in _UNDEFINED.items():
+        if needs & bit & grid.status[0]:
+            raise DegenerateThresholdError(text.format(k=k))
+    return v, grid
 
 
 def hill(x, k: int) -> HillEstimate:
@@ -119,9 +121,7 @@ def hill(x, k: int) -> HillEstimate:
         Tail sample fraction, ``1 <= k <= n - 1``. The threshold is the
         (k+1)-th largest viewed value and must be positive.
     """
-    _, grid = _at_k(x, k)
-    if np.isnan(grid.hill_mean[0]):
-        raise _zero_floor(k)
+    grid = _at_k(x, k, needs=kernel.ZERO_FLOOR)[1]
     return HillEstimate(hill_mean=float(grid.hill_mean[0]), alpha_hat=float(grid.alpha_hat[0]), k=int(k))
 
 
@@ -144,5 +144,5 @@ def estimate_chi(x, k: int, alpha_hat: float) -> float:
         raise DegenerateThresholdError(
             f"alpha_hat must be finite and positive, got {alpha_hat}"
         )
-    cross = float(_positive_threshold(_at_k(x, k, adjust="lag1")[1], k).cross[0])
+    cross = float(_at_k(x, k, adjust="lag1", needs=kernel.ZERO_THRESHOLD)[1].cross[0])
     return kernel.chi(alpha_hat, cross, k)

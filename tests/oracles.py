@@ -214,7 +214,7 @@ def run_table_oracle(spec):
                 continue
         v = nonneg_view(series)
         grid = tail_grid(v, ks, spec.phi, spec.adjust)
-        ok = ~grid.degenerate
+        ok = grid.status == 0
         ok_count += ok
         rejects += (grid.scale * grid.statistic >= critical) & ok
         np.add(alpha_sum, grid.alpha_hat, out=alpha_sum, where=ok)

@@ -118,7 +118,7 @@ def test_mse_present_iff_change():
     assert 0.0 <= with_change.rows[0].mse_tau <= 1.0
 
 
-def test_replication_errors_are_counted_not_raised():
+def test_replication_errors_are_counted_not_raised(monkeypatch):
     # 20 residuals and k = 19 violates the n >= k + 2 test guard every time
     spec = SimulationSpec(
         model=ModelSpec("ar1", T3, coef=0.5),
@@ -134,6 +134,17 @@ def test_replication_errors_are_counted_not_raised():
     assert bad.rejection_rate == 0.0
     assert np.isnan(bad.mean_alpha_hat)
     assert good.error_count == 0
+    # only the first 8 values of each path are non-zero: X_(9) = 0 at k = 8, and X_(10) = 0 as well at k = 10
+    real_rows = experiments._simulate_rows
+
+    def sparse(*args):
+        paths = real_rows(*args)
+        paths[:, 8:] = 0.0
+        return paths
+
+    monkeypatch.setattr(experiments, "_simulate_rows", sparse)
+    spec = SimulationSpec(model=ModelSpec("iid", T3), n=60, k_grid=(5, 8, 10), replications=4, seed=3)
+    assert [cell.error_count for cell in run_table(spec).rows] == [0, 4, 4]
 
 
 def test_sweep_isolates_failing_specs(monkeypatch):
@@ -300,6 +311,10 @@ def test_table_specs_structure():
     assert {s.n for s in large} == {1000, 3000}
     with pytest.raises(ValueError):
         table_specs(99)
+    for table_id in (5.0, True):  # an integer argument, like every other
+        with pytest.raises(TypeError, match="table_id must be an integer"):
+            table_specs(table_id)
+    assert table_specs(np.int64(5), replications=1) == table_specs(5, replications=1)
     for table_id in TABLE_IDS:
         assert table_specs(table_id, replications=1)
 

@@ -24,6 +24,20 @@ def _close(got, want):
     return got == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 
+def _status_oracle(xs, k, phi):
+    """The kernel's status bits at ``k``, read off the sorted values (a ``k`` past ``n - 1`` is read at ``n - 1``)."""
+    srt = sorted(xs, reverse=True)
+    j = min(k, len(xs) - 1)
+    bits = kernel.TOO_SHORT if len(xs) < max(4, k + 2) else 0
+    if srt[j] == 0.0:
+        bits |= kernel.ZERO_FLOOR
+    if srt[j - 1] == 0.0:
+        bits |= kernel.ZERO_THRESHOLD
+    if phi == "log_excess" and 0.0 < srt[j] == srt[0]:  # a tied top: every log excess over X_(k+1) vanishes
+        bits |= kernel.INFINITE_ALPHA
+    return bits
+
+
 @settings(max_examples=300)
 @given(
     st.lists(st.sampled_from([0.0, 1.0, 2.0, 5.0]), min_size=2, max_size=7),
@@ -33,15 +47,21 @@ def test_grid_matches_oracle_at_every_k(xs, data):
     n = len(xs)
     ks = data.draw(st.lists(st.integers(min_value=1, max_value=n + 1), min_size=1, max_size=6))
     v = np.asarray(xs)
+    # more series of the same length: each row of the block reports the status of its series alone
+    block = np.asarray([xs] + data.draw(st.lists(
+        st.lists(st.sampled_from([0.0, 1.0, 2.0, 5.0]), min_size=n, max_size=n), max_size=3)))
     for phi, adjust in PAIRS:
         grid = tail_grid(v, ks, phi, adjust)
+        rows = tail_grid(block, ks, phi, adjust).status
+        assert [row.tolist() for row in rows] == [tail_grid(b, ks, phi, adjust).status.tolist() for b in block]
         for j, k in enumerate(ks):
+            assert grid.status[j] == _status_oracle(xs, k, phi), (phi, adjust, k)
             try:
                 want = tail_test_oracle(xs, k, phi, adjust)
             except OracleDegenerate:
-                assert grid.degenerate[j], (phi, adjust, k)
+                assert grid.status[j] != 0, (phi, adjust, k)
                 continue
-            assert not grid.degenerate[j], (phi, adjust, k)
+            assert grid.status[j] == 0, (phi, adjust, k)
             assert grid.statistic[j] == want["statistic"]
             assert grid.l_hat[j] == want["l_hat"]
             assert _close(grid.alpha_hat[j], want["alpha_hat"])
@@ -235,7 +255,7 @@ def test_fully_tied_top_keeps_alpha_infinite():
     grid = tail_grid(np.asarray(x), [1, 2, 3], "log_excess")
     assert math.isinf(grid.alpha_hat[0]) and math.isinf(grid.alpha_hat[1])
     assert np.isfinite(grid.alpha_hat[2])
-    assert grid.degenerate.tolist() == [True, True, False]
+    assert grid.status.tolist() == [kernel.INFINITE_ALPHA, kernel.INFINITE_ALPHA, 0]
 
 
 def test_lag1_indicator_with_infinite_alpha_reports_no_chi():
@@ -253,7 +273,7 @@ def test_lag1_indicator_with_infinite_alpha_reports_no_chi():
 def test_zero_threshold_rows_are_degenerate_not_raised():
     v = np.asarray([4.0, 0.0, 3.0, 0.0, 0.0, 2.0, 0.0, 0.0])
     grid = tail_grid(v, [1, 2, 3, 4], "log_excess", "lag1")
-    assert grid.degenerate.tolist() == [False, False, True, True]
+    assert grid.status.tolist() == [0, 0, kernel.ZERO_FLOOR, kernel.ZERO_FLOOR | kernel.ZERO_THRESHOLD]
     assert np.isnan(grid.alpha_hat[3])
 
 
@@ -291,7 +311,7 @@ def test_total_hand_cases():
     assert tail_grid(v, [1, 2, 3], "indicator", "lag1").total.tolist() == [0.0, 1.0, 2.0]
     grid = tail_grid(v, [1, 2, 3], "log_excess")
     assert grid.total[:2].tolist() == [0.0, math.log(1.5)]
-    assert grid.degenerate[2]  # no log excesses over a zero threshold: the row is flagged
+    assert grid.status[2] == kernel.ZERO_FLOOR | kernel.ZERO_THRESHOLD  # no log excesses over a zero threshold
     # without a statistic there is no row total
     assert tail_grid(v, [1, 2]).total is None
     assert tail_grid(v, [1, 2], adjust="lag1").total is None

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import hill_oracle, pareto_sample
-from tailshift.cusum import deviation_process
+from tailshift.cusum import TailTestConfig, cusum_statistic, deviation_process, run_test
 from tailshift.tail_core import (
     DegenerateThresholdError,
     _at_k,
@@ -201,6 +202,48 @@ def test_nonneg_view_rejects_non_finite_values():
         nonneg_view([-float("inf"), 1.0])
     with pytest.raises(ValueError, match="non-finite"):
         hill([1.0, float("inf"), 2.0, 3.0], 1)
+
+
+# ---------------------------------------------------------------------------
+# degeneracies: which entry point raises, with which text
+# ---------------------------------------------------------------------------
+
+ZERO_FLOOR = "(k+1)-th largest value is 0 (k=2); the mean log excess is undefined"
+ZERO_THRESHOLD = "k-th largest value is 0 (k=2); log excesses are undefined"
+INFINITE_ALPHA = "alpha_hat is infinite; the log-excess scaling is undefined"
+
+PHIS = ("indicator", "log_excess")
+ENTRY_POINTS = {
+    "hill": hill,
+    "estimate_omega": estimate_omega,
+    "estimate_chi": partial(estimate_chi, alpha_hat=1.0),
+    **{f"{f.__name__}/{phi}": partial(f, phi=phi) for f in (cusum_statistic, deviation_process) for phi in PHIS},
+    **{f"run_test/{phi}/{adjust}": lambda x, k, phi=phi, adjust=adjust: run_test(x, TailTestConfig(k, phi, adjust))
+       for phi in PHIS for adjust in ("iid", "lag1")},
+}
+RUN_TESTS = [name for name in ENTRY_POINTS if name.startswith("run_test/")]
+
+
+@pytest.mark.parametrize("x, raised", [
+    # X_(2) = 4 > 0 = X_(3): only what reads the (k+1)-th largest value raises
+    ([5.0, 4.0, 0.0, 0.0], {"hill": ZERO_FLOOR, **dict.fromkeys(RUN_TESTS, ZERO_FLOOR)}),
+    # X_(2) = 0: log excesses over the threshold are undefined too, while the indicator forms count
+    ([5.0, 0.0, 0.0, 0.0], {"hill": ZERO_FLOOR, **dict.fromkeys(RUN_TESTS, ZERO_FLOOR),
+                            "estimate_chi": ZERO_THRESHOLD, "cusum_statistic/log_excess": ZERO_THRESHOLD,
+                            "deviation_process/log_excess": ZERO_THRESHOLD}),
+    # the top k + 1 = 3 values tie: alpha_hat is infinite, which only the log-excess scaling reads
+    ([5.0, 5.0, 1.0, 5.0, 2.0, 3.0, 1.5, 0.5], dict.fromkeys(["run_test/log_excess/iid", "run_test/log_excess/lag1"],
+                                                             INFINITE_ALPHA)),
+], ids=["zero-floor", "zero-threshold", "tied-top"])
+def test_each_degeneracy_raises_exactly_where_needed(x, raised):
+    for name, entry in ENTRY_POINTS.items():
+        if name not in raised:
+            entry(x, 2)  # a statistic that does not read the missing quantity returns
+            continue
+        with pytest.raises(DegenerateThresholdError) as info:
+            entry(x, 2)
+        assert type(info.value) is DegenerateThresholdError, name
+        assert str(info.value) == raised[name], name
 
 
 def test_non_integer_k_is_a_type_error():

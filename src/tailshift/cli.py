@@ -247,13 +247,21 @@ def build_parser() -> argparse.ArgumentParser:
     def add_test_options(p):
         p.add_argument("input", help="path to a series file, or '-' for stdin")
         p.add_argument("--k", type=int, required=True, help="tail sample fraction (no default)")
-        p.add_argument("--phi", choices=sorted(_PHI_BY_FLAG), default="indicator")
-        p.add_argument("--level", type=float, default=0.05)
-        p.add_argument("--format", choices=("human", "structured"), default="human")
+        p.add_argument("--phi", choices=sorted(_PHI_BY_FLAG), default="indicator",
+                       help="statistic: exceedance counts (indicator) or log excesses (log-excess); "
+                            "default %(default)s")
+        p.add_argument("--level", type=float, default=0.05,
+                       help="significance level of the test, in (0, 1); default %(default)s. The critical "
+                            "value is the reference law's quantile at 1 - level (for 0.05, the one "
+                            "critical-values --levels 0.95 prints)")
+        p.add_argument("--format", choices=("human", "structured"), default="human",
+                       help="human: one 'name: value' line per field and the decision; "
+                            "structured: one JSON object; default %(default)s")
 
     p_test = sub.add_parser("test", help="tail-index change test on a series")
     add_test_options(p_test)
-    p_test.add_argument("--adjust", choices=("iid", "lag1"), default="iid")
+    p_test.add_argument("--adjust", choices=("iid", "lag1"), default="iid",
+                        help="scaling: i.i.d., or adjusted for lag-1 dependence; default %(default)s")
     p_test.add_argument("--no-abs", action="store_true",
                         help="require non-negative input instead of taking absolute values")
     p_test.set_defaults(func=cmd_test)
@@ -261,30 +269,39 @@ def build_parser() -> argparse.ArgumentParser:
     p_ar = sub.add_parser("ar-test", help="change test on AR(p) residuals")
     add_test_options(p_ar)
     p_ar.add_argument("--order", type=int, required=True, help="autoregressive order p")
-    p_ar.add_argument("--method", choices=sorted(_METHOD_BY_FLAG), default="ols")
+    p_ar.add_argument("--method", choices=sorted(_METHOD_BY_FLAG), default="ols",
+                      help="AR fit: least squares (ols) or Yule-Walker; default %(default)s")
     p_ar.set_defaults(func=cmd_ar_test)
 
     p_cv = sub.add_parser("critical-values", help="critical values of the reference law")
-    p_cv.add_argument("--levels", type=float, nargs="+", default=[0.90, 0.95, 0.99])
+    p_cv.add_argument("--levels", type=float, nargs="+", default=[0.90, 0.95, 0.99],
+                      help="quantile levels of the reference law, each in (0, 1); default 0.90 0.95 0.99. "
+                           "The quantile at q is the critical value of a test at significance "
+                           "level 1 - q (0.95 for test --level 0.05)")
     p_cv.add_argument("--mc", action="store_true", help="Monte Carlo recipe instead of the inverse Kolmogorov CDF")
     p_cv.add_argument("--paths", type=int, default=10_000, help="points per simulated path")
     p_cv.add_argument("--reps", type=int, default=10_000, help="number of simulated paths")
-    p_cv.add_argument("--seed", type=int, default=None)
+    p_cv.add_argument("--seed", type=int, default=None,
+                      help="seed of the --mc paths; default $TAILSHIFT_SEED, else 0")
     p_cv.set_defaults(func=cmd_critical_values)
 
     p_tab = sub.add_parser("tables", help="reproduce a benchmark grid")
     p_tab.add_argument("--table", type=int, required=True, help=f"grid id, {TABLE_IDS[0]}..{TABLE_IDS[-1]}")
-    p_tab.add_argument("--replications", type=int, default=2000)
-    p_tab.add_argument("--seed", type=int, default=None)
+    p_tab.add_argument("--replications", type=int, default=2000,
+                       help="replications per design; default %(default)s")
+    p_tab.add_argument("--seed", type=int, default=None,
+                       help="seed of the replication streams; default $TAILSHIFT_SEED, else 0")
     p_tab.add_argument("--full", action="store_true", help="include the heavy n=3000 half of the grid")
     p_tab.add_argument("--out", help="write the delimited grid here instead of stdout")
     p_tab.add_argument("--report", help="also write a structured JSON report to this path")
     p_tab.set_defaults(func=cmd_tables)
 
     p_sim = sub.add_parser("simulate", help="generate a series from a built-in model")
-    p_sim.add_argument("--model", choices=("iid-burr", "ma1-t", "ar1-t"), required=True)
-    p_sim.add_argument("--n", type=int, required=True)
-    p_sim.add_argument("--seed", type=int, default=None)
+    p_sim.add_argument("--model", choices=("iid-burr", "ma1-t", "ar1-t"), required=True,
+                       help="i.i.d. Burr draws, or an MA(1) or AR(1) path over t innovations")
+    p_sim.add_argument("--n", type=int, required=True, help="length of the series")
+    p_sim.add_argument("--seed", type=int, default=None,
+                       help="seed of the path; default $TAILSHIFT_SEED, else 0")
     p_sim.add_argument("--coef", type=float, help="MA/AR lag-1 coefficient (ma1-t and ar1-t only)")
     p_sim.add_argument("--nu", type=float, help="t degrees of freedom")
     burr = p_sim.add_mutually_exclusive_group()
@@ -298,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     post_burr.add_argument("--post-lam", type=float, help="post-change Burr lam")
     post_burr.add_argument("--post-alpha", type=float, help="post-change Burr tail exponent")
     p_sim.add_argument("--post-beta", type=float, help="post-change Burr beta (default 1)")
-    p_sim.add_argument("--post-gamma", type=float)
+    p_sim.add_argument("--post-gamma", type=float, help="post-change Burr gamma (negative)")
     p_sim.add_argument("--out", help="write the series here instead of stdout")
     p_sim.set_defaults(func=cmd_simulate)
 

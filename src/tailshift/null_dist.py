@@ -124,6 +124,12 @@ def mc_critical_values(
 
 
 def analytic_critical_values(levels: Sequence[float]) -> CriticalValueTable:
+    """Critical values at each quantile level in ``levels``, from the inverse Kolmogorov CDF.
+
+    Each level must lie in (0, 1); the quantile at ``q`` is the critical value of a
+    test at significance level ``1 - q``. Exact and seed-free, unlike
+    :func:`mc_critical_values`. An empty ``levels`` is a ``ValueError``.
+    """
     levels = tuple(float(lv) for lv in levels)
     if not levels:
         raise ValueError("levels must be non-empty")

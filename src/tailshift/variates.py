@@ -12,11 +12,11 @@ the block of one.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .tail_core import _finite_rows, as_int
 
@@ -40,10 +40,17 @@ AR_BURNIN = 1000
 _MIN_UNIFORM = 1e-300
 
 
-def _require(name: str, value, ok: bool, rule: str) -> None:
-    """Reject a parameter that breaks ``rule`` or is not finite, naming the field."""
-    if not (ok and math.isfinite(value)):
-        raise ValueError(f"{name} must be finite and {rule}, got {value}")
+def _require_real(name: str, value) -> None:
+    """Reject a bool or a value of a non-real type, naming the field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {value!r} of type {type(value).__name__}")
+
+
+def _require(name: str, value, sign: int) -> None:
+    """Reject a parameter that is not a finite real of sign ``sign`` (1 or -1), naming the field."""
+    _require_real(name, value)
+    if not (sign * value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be finite and {'positive' if sign > 0 else 'negative'}, got {value}")
 
 
 def as_generator(seed) -> np.random.Generator:
@@ -71,8 +78,8 @@ def replication_rng(seed: int, index: int) -> np.random.Generator:
 class BurrParams:
     """Burr law with survival function ``(beta / (beta + x**(-gamma)))**lam``.
 
-    ``lam`` and ``beta`` must be finite and positive and ``gamma`` finite and
-    negative; the tail exponent is ``alpha = -gamma * lam``.
+    ``lam`` and ``beta`` must be finite, positive reals and ``gamma`` a finite,
+    negative real (a bool is not a real); the tail exponent is ``alpha = -gamma * lam``.
     """
 
     lam: float
@@ -80,9 +87,9 @@ class BurrParams:
     gamma: float = -1.0
 
     def __post_init__(self):
-        _require("lam", self.lam, self.lam > 0, "positive")
-        _require("beta", self.beta, self.beta > 0, "positive")
-        _require("gamma", self.gamma, self.gamma < 0, "negative")
+        _require("lam", self.lam, 1)
+        _require("beta", self.beta, 1)
+        _require("gamma", self.gamma, -1)
 
     @property
     def alpha(self) -> float:
@@ -91,18 +98,19 @@ class BurrParams:
     @classmethod
     def from_alpha(cls, alpha: float, gamma: float, beta: float = 1.0) -> "BurrParams":
         """Parameters with tail exponent ``alpha`` and second-order exponent ``gamma``."""
-        _require("alpha", alpha, alpha > 0, "positive")
+        _require("alpha", alpha, 1)
+        _require("gamma", gamma, -1)
         return cls(lam=-alpha / gamma, beta=beta, gamma=gamma)
 
 
 @dataclass(frozen=True)
 class TDistParams:
-    """Student-t law with ``nu`` finite, positive degrees of freedom (tail exponent ``alpha = nu``)."""
+    """Student-t law with ``nu`` finite, positive, real degrees of freedom (tail exponent ``alpha = nu``)."""
 
     nu: float
 
     def __post_init__(self):
-        _require("nu", self.nu, self.nu > 0, "positive")
+        _require("nu", self.nu, 1)
 
     @property
     def alpha(self) -> float:
@@ -125,7 +133,7 @@ class ModelSpec:
     """Data-generating model: i.i.d. draws, MA(1), or AR(1) over an innovation law.
 
     ``innovation`` must be a :class:`BurrParams` or :class:`TDistParams`.
-    ``coef`` is the single finite lag-1 coefficient: the moving-average weight
+    ``coef`` is the single finite, real lag-1 coefficient: the moving-average weight
     for ``kind="ma1"``, the autoregressive weight for ``kind="ar1"`` (must
     satisfy ``|coef| < 1`` for stationarity), unused for ``kind="iid"``.
     """
@@ -144,6 +152,7 @@ class ModelSpec:
         else:
             if self.coef is None:
                 raise ValueError(f"{self.kind} model requires a coefficient")
+            _require_real("coef", self.coef)
             if not math.isfinite(self.coef):
                 raise ValueError(f"coef must be finite, got {self.coef}")
             if self.kind == "ar1" and not abs(self.coef) < 1:
@@ -152,7 +161,7 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class ChangeSpec:
-    """Single abrupt switch of the innovation law after index ``floor(n * tau)``.
+    """Single abrupt switch of the innovation law after index ``floor(n * tau)``, ``tau`` a real in (0, 1).
 
     ``pre`` and ``post`` must each be a :class:`BurrParams` or :class:`TDistParams`.
     """
@@ -162,6 +171,7 @@ class ChangeSpec:
     post: InnovationParams
 
     def __post_init__(self):
+        _require_real("tau", self.tau)
         if not 0.0 < self.tau < 1.0:
             raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
         _require_law("pre", self.pre)
@@ -232,6 +242,8 @@ def _simulate_rows(model: ModelSpec, n: int, rngs, change: ChangeSpec | None) ->
         elif model.kind == "ma1":
             x = xi[:, 1:] + model.coef * xi[:, :-1]
         else:  # ar1: recursion x_i = coef * x_{i-1} + xi_i from zero, burn-in discarded
+            from scipy.signal import lfilter  # ~1 s to import, so only where an AR(1) path is drawn
+
             x = lfilter([1.0], [1.0, -model.coef], xi, axis=-1)[:, AR_BURNIN:]
     try:
         return _finite_rows(x)

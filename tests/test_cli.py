@@ -212,6 +212,13 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert main(["bogus-command"]) == 1
     capsys.readouterr()
     assert main(["test", str(tmp_path / "missing.txt"), "--k", "2"]) == 1
+    capsys.readouterr()
+    # test --level is a significance level, critical-values --levels are quantile levels
+    for command, meaning in (("test", "significance level of the test"),
+                             ("critical-values", "quantile levels of the reference law")):
+        assert main([command, "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert meaning in text and "significance level" in text and "quantile" in text
 
 
 def test_bugs_propagate_out_of_main(tmp_path, monkeypatch):
@@ -523,6 +530,33 @@ def test_console_script_subprocess(monkeypatch, capsys):
             cli.entry_point()
         assert exc.value.code == code
     capsys.readouterr()
+
+
+def test_only_an_ar1_path_loads_scipy_signal(tmp_path):
+    # scipy.signal takes about a second to import and only the AR(1) filter needs it
+    x = simulate(ModelSpec("iid", TDistParams(3.0)), 200, seed=1)
+    path = write(tmp_path, "".join(f"{v!r}\n" for v in x.tolist()))
+    script = f"""
+import sys
+
+def absent(step):
+    assert "scipy.signal" not in sys.modules, step
+
+import tailshift
+absent("import tailshift")
+from tailshift import cli
+assert cli.main(["test", {path!r}, "--k", "20"]) in (0, 2)
+absent("test")
+assert cli.main(["ar-test", {path!r}, "--k", "20", "--order", "1"]) in (0, 2)
+absent("ar-test")
+assert cli.main(["critical-values"]) == 0
+absent("critical-values")
+from tailshift import ModelSpec, TDistParams, simulate
+assert simulate(ModelSpec("ar1", TDistParams(3.0), coef=0.5), 200, seed=1).shape == (200,)
+assert "scipy.signal" in sys.modules
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_read_series_rejects_non_finite_with_line_number(tmp_path):

@@ -1,5 +1,6 @@
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -80,6 +81,9 @@ def test_burr_params_validation():
                 BurrParams(**kwargs)
         with pytest.raises(ValueError, match="^alpha must be finite"):
             BurrParams.from_alpha(bad, -1.0)
+    # gamma is checked before it divides alpha
+    with pytest.raises(ValueError, match="^gamma must be finite and negative, got 0.0"):
+        BurrParams.from_alpha(2.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +179,27 @@ def test_model_spec_validation():
     for bad in (np.nan, np.inf, -np.inf):  # NaN and inf MA weights simulated NaN and inf
         with pytest.raises(ValueError, match="^coef must be finite"):
             ModelSpec("ma1", T3, coef=bad)
+
+
+@pytest.mark.parametrize("field, build, good", [
+    ("lam", lambda v: BurrParams(lam=v).lam, 2),
+    ("beta", lambda v: BurrParams(lam=1.0, beta=v).beta, np.float32(0.5)),
+    ("gamma", lambda v: BurrParams(lam=1.0, gamma=v).gamma, -2),
+    ("alpha", lambda v: BurrParams.from_alpha(v, -1.0).alpha, 3.0),
+    ("gamma", lambda v: BurrParams.from_alpha(2.0, v).gamma, Fraction(-1, 2)),
+    ("nu", lambda v: TDistParams(v).nu, np.float64(3.0)),
+    ("coef", lambda v: ModelSpec("ma1", T3, coef=v).coef, 1),
+    ("coef", lambda v: ModelSpec("ar1", T3, coef=v).coef, np.float64(0.5)),
+    ("tau", lambda v: ChangeSpec(v, T3, T3).tau, Fraction(1, 2)),
+])
+def test_real_parameters_reject_bools_and_non_reals(field, build, good):
+    # a bool is not a real parameter, and a non-real type is named here, not left to math or <
+    for bad in (True, False, np.True_, "0.5", 0.5j, [0.5], np.array(0.5)):
+        with pytest.raises(TypeError, match=f"^{field} must be a real number, got .* of type "):
+            build(bad)
+    # a valid real is kept as given, so fingerprints and reports do not change
+    stored = build(good)
+    assert stored == good and type(stored) is type(good)
 
 
 def test_model_and_change_specs_require_a_law():

@@ -19,7 +19,6 @@ from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_toeplitz
 
 from .cusum import TailTestConfig, TestOutcome, run_test
 from .tail_core import as_int, finite_series
@@ -56,6 +55,8 @@ class ArFit:
 
 
 def _fit_yule_walker(x: np.ndarray, p: int) -> np.ndarray:
+    from scipy.linalg import solve_toeplitz  # ~8 MB more of scipy, so only where a Yule-Walker fit runs
+
     n = x.size
     # raw second moments, no mean-centering
     acov = np.array([float(np.dot(x[: n - h], x[h:])) / n for h in range(p + 1)])

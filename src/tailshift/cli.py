@@ -45,7 +45,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _default_seed() -> int:
+def _seed(flag: int | None) -> int:
+    """The ``--seed`` value, else ``$TAILSHIFT_SEED``, else 0."""
+    if flag is not None:
+        return flag
     raw = os.environ.get("TAILSHIFT_SEED", "0")
     try:
         return int(raw)
@@ -149,13 +152,22 @@ def cmd_ar_test(args) -> int:
     return 2 if outcome.reject else 0
 
 
+_MC_DEFAULT = 10_000  # points per path and paths, under --mc
+
+
 def cmd_critical_values(args) -> int:
     if args.mc:
+        seed = _seed(args.seed)
+        paths = _MC_DEFAULT if args.paths is None else args.paths
+        reps = _MC_DEFAULT if args.reps is None else args.reps
         try:
-            table = mc_critical_values(args.levels, n_points=args.paths, n_rep=args.reps, seed=args.seed)
+            table = mc_critical_values(args.levels, n_points=paths, n_rep=reps, seed=seed)
         except ValueError as exc:  # name the flags, not the parameters they set
             raise ValueError(str(exc).replace("n_points", "--paths").replace("n_rep", "--reps")) from None
     else:
+        for name in ("paths", "reps", "seed"):
+            if getattr(args, name) is not None:
+                raise ValueError(f"--{name} requires --mc")
         table = analytic_critical_values(args.levels)
     sys.stdout.write(table.to_delimited())
     return 0
@@ -165,7 +177,7 @@ def cmd_tables(args) -> int:
     specs = table_specs(
         args.table,
         replications=args.replications,
-        seed=args.seed,
+        seed=_seed(args.seed),
         include_large=args.full,
     )
     results = sweep(specs)
@@ -222,6 +234,7 @@ def _innovation_from_args(args, prefix: str = ""):
 
 
 def cmd_simulate(args) -> int:
+    seed = _seed(args.seed)
     kind = {"iid-burr": "iid", "ma1-t": "ma1", "ar1-t": "ar1"}[args.model]
     _reject_unused_flags(args)
     innovation = _innovation_from_args(args)
@@ -229,7 +242,7 @@ def cmd_simulate(args) -> int:
     change = None
     if args.change_tau is not None:
         change = ChangeSpec(tau=args.change_tau, pre=innovation, post=_innovation_from_args(args, "post_"))
-    x = simulate(model, args.n, seed=args.seed, change=change)
+    x = simulate(model, args.n, seed=seed, change=change)
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         for value in x:
@@ -279,10 +292,10 @@ def build_parser() -> argparse.ArgumentParser:
                            "The quantile at q is the critical value of a test at significance "
                            "level 1 - q (0.95 for test --level 0.05)")
     p_cv.add_argument("--mc", action="store_true", help="Monte Carlo recipe instead of the inverse Kolmogorov CDF")
-    p_cv.add_argument("--paths", type=int, default=10_000, help="points per simulated path")
-    p_cv.add_argument("--reps", type=int, default=10_000, help="number of simulated paths")
+    p_cv.add_argument("--paths", type=int, help=f"points per simulated path (--mc only); default {_MC_DEFAULT}")
+    p_cv.add_argument("--reps", type=int, help=f"number of simulated paths (--mc only); default {_MC_DEFAULT}")
     p_cv.add_argument("--seed", type=int, default=None,
-                      help="seed of the --mc paths; default $TAILSHIFT_SEED, else 0")
+                      help="seed of the paths (--mc only); default $TAILSHIFT_SEED, else 0")
     p_cv.set_defaults(func=cmd_critical_values)
 
     p_tab = sub.add_parser("tables", help="reproduce a benchmark grid")
@@ -329,8 +342,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if hasattr(args, "seed") and args.seed is None:
-            args.seed = _default_seed()
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

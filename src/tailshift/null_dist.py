@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import kolmogi
 
 from .kernel import deviation
 from .tail_core import as_int
@@ -49,6 +48,8 @@ def analytic_quantile(level: float) -> float:
     """Quantile of sup|Brownian bridge| at ``level``, the inverse Kolmogorov CDF."""
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {level}")
+    from scipy.special import kolmogi  # ~0.3 s and ~25 MB of scipy, so only where a critical value is taken
+
     return float(kolmogi(1.0 - level))
 
 

@@ -343,6 +343,37 @@ def test_critical_values_mc_names_its_flags(capsys, flags, message):
     assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("flags, name", [
+    (["--paths", "1"], "paths"),
+    (["--reps", "0"], "reps"),
+    (["--seed", "5"], "seed"),
+    (["--levels", "0.95", "--paths", "1", "--reps", "0", "--seed", "5"], "paths"),
+])
+def test_critical_values_mc_flags_require_mc(capsys, flags, name):
+    # the analytic table would silently ignore them
+    assert main(["critical-values", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: --{name} requires --mc\n"
+
+
+def test_critical_values_reads_env_seed_only_under_mc(monkeypatch, capsys):
+    monkeypatch.setenv("TAILSHIFT_SEED", "abc")
+    assert main(["critical-values", "--levels", "0.95"]) == 0
+    assert capsys.readouterr().out.endswith(",analytic\n")
+    assert main(["critical-values", "--mc", "--paths", "10", "--reps", "100"]) == 1
+    assert capsys.readouterr().err == "error: TAILSHIFT_SEED must be an integer, got 'abc'\n"
+    monkeypatch.setenv("TAILSHIFT_SEED", "4")
+    assert main(["critical-values", "--mc", "--paths", "10", "--reps", "100"]) == 0
+    assert "mc(paths=10,reps=100,seed=4)" in capsys.readouterr().out
+
+
+def test_critical_values_mc_defaults_paths_and_reps(capsys):
+    assert main(["critical-values", "--levels", "0.95", "--mc", "--paths", "10"]) == 0
+    assert capsys.readouterr().out.endswith(",mc(paths=10,reps=10000,seed=0)\n")
+    assert main(["critical-values", "--levels", "0.95", "--mc", "--reps", "100"]) == 0
+    assert capsys.readouterr().out.endswith(",mc(paths=10000,reps=100,seed=0)\n")
+
+
 # ---------------------------------------------------------------------------
 # tables command
 # ---------------------------------------------------------------------------
@@ -554,6 +585,41 @@ absent("critical-values")
 from tailshift import ModelSpec, TDistParams, simulate
 assert simulate(ModelSpec("ar1", TDistParams(3.0), coef=0.5), 200, seed=1).shape == (200,)
 assert "scipy.signal" in sys.modules
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_each_scipy_module_loads_only_on_its_path(tmp_path):
+    # scipy.special is for the analytic critical value, scipy.linalg for a Yule-Walker fit
+    x = simulate(ModelSpec("iid", TDistParams(3.0)), 200, seed=1)
+    path = write(tmp_path, "".join(f"{v!r}\n" for v in x.tolist()))
+    out = str(tmp_path / "sim.txt")
+    script = f"""
+import sys
+
+def loaded(step, special, linalg):
+    scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    if not special:
+        assert not scipy, (step, scipy)
+    assert ("scipy.special" in sys.modules) == special, step
+    assert ("scipy.linalg" in sys.modules) == linalg, step
+
+import tailshift
+loaded("import tailshift", False, False)
+from tailshift import cli
+assert cli.main(["critical-values", "--mc", "--paths", "100", "--reps", "100"]) == 0
+loaded("critical-values --mc", False, False)
+assert cli.main(["simulate", "--model", "iid-burr", "--lam", "1", "--gamma", "-2", "--n", "200", "--out", {out!r}]) == 0
+loaded("simulate iid-burr", False, False)
+assert cli.main(["simulate", "--model", "ma1-t", "--nu", "3", "--coef", "0.5", "--n", "200", "--out", {out!r}]) == 0
+loaded("simulate ma1-t", False, False)
+assert cli.main(["test", {path!r}, "--k", "20"]) in (0, 2)
+loaded("test", True, False)
+assert cli.main(["ar-test", {path!r}, "--k", "20", "--order", "1"]) in (0, 2)
+loaded("ar-test", True, False)
+assert cli.main(["ar-test", {path!r}, "--k", "20", "--order", "1", "--method", "yule-walker"]) in (0, 2)
+loaded("ar-test --method yule-walker", True, True)
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -104,9 +104,8 @@ def _fit_rows(x: np.ndarray, order: int, method: str):
     """:func:`fit_ar` of each row of the block ``x``, bit for bit: the coefficients, the residuals and,
     by row index, the ``DegenerateDataError`` of each row without a fit (whose values are then NaN)."""
     n = x.shape[-1]
-    lags = np.empty((len(x), n - order, order))
-    for j in range(order):  # lags[i, :, j] holds the lag-(j+1) values of row i aligned with x[i, order:]
-        lags[..., j] = x[:, order - 1 - j: n - 1 - j]
+    # lags[i, :, j]: lag-(j+1) values of row i aligned with x[i, order:]; at order 1 a view, read by BLAS as the copy
+    lags = np.stack([x[:, order - 1 - j: n - 1 - j] for j in range(order)], axis=-1) if order > 1 else x[:, :-1, None]
     coef, errors = None, {}
     # finite values can still overflow the moments; such a row gets no finite fit and is named below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -146,4 +145,5 @@ def residual_cusum(
     """
     fit = fit_ar(x, order, method)
     cfg = TailTestConfig(k=k, phi=phi, adjust="iid", level=level)
-    return run_test(fit.residuals, cfg)
+    # folded in place once checked, so the test holds one n-length array, not the residuals and their copy
+    return run_test(np.abs(finite_series(fit.residuals), out=fit.residuals), cfg)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel, null_dist
-from .tail_core import _at_k, as_int
+from .tail_core import _at_k, as_int, nonneg_view
 
 __all__ = [
     "PHI_KINDS",
@@ -101,7 +101,8 @@ def deviation_process(x, k: int, phi: str = "indicator") -> np.ndarray:
     k-th largest absolute value and must be positive for the log transform.
     """
     _check_phi(phi)
-    v, grid = _at_k(x, k, phi, needs=kernel.ZERO_THRESHOLD if phi == "log_excess" else 0)
+    v = nonneg_view(x)
+    grid = _at_k(v, k, phi, needs=kernel.ZERO_THRESHOLD if phi == "log_excess" else 0)[1]
     t = grid.threshold
     hits = (v > t[0]).nonzero()[0]
     # the running sums of the kernel's transformed exceedances, held from each one to the next

@@ -141,7 +141,7 @@ def run_table(spec: SimulationSpec) -> TableResult:
             block = _finite_rows(np.delete(residuals, list(unfit), axis=0))
             if not len(block):
                 continue
-        grid = tail_grid(np.abs(block), ks, spec.phi, spec.adjust)
+        grid = tail_grid(block, ks, spec.phi, spec.adjust)
         ok = grid.status == 0
         ok_count += np.add.reduce(ok, axis=0)
         rejects += np.add.reduce((grid.scale * grid.statistic >= critical) & ok, axis=0)

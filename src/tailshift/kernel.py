@@ -1,12 +1,12 @@
 """The tail kernel: every quantity of the change test at every k of a grid in one pass.
 
-:func:`tail_grid` takes the non-negative view ``v`` of one series, shape
-``(n,)``, or of a block of series, shape ``(R, n)``, and an integer grid
-``ks``; its fields have shape ``(K,)`` or ``(R, K)``. It selects the top
-``max(k) + 1`` values of each series and sorts only those (a long single
-series is first cut to its values at least a bound, read off a strided sample,
-that ``max(k) + 1`` of them reach, so none is lost). For all k at once
-it evaluates the thresholds (the k-th largest values), the exceedances over
+:func:`tail_grid` takes one series, shape ``(n,)``, or a block of series, shape
+``(R, n)``, whose absolute values it reads (folding a signed input into a copy
+of its own), and an integer grid ``ks``; its fields have shape ``(K,)`` or
+``(R, K)``. It selects the top ``max(k) + 1`` values of each series and sorts
+only those (a long single series is first cut to its values at least a bound,
+read off a strided sample, that ``max(k) + 1`` of them reach, so none is lost).
+For all k at once it evaluates the thresholds (the k-th largest values), the exceedances over
 them and their log sizes (on the m values above the smallest threshold only),
 the statistic with its first maximizer, the Hill estimate over the (k+1)-th
 largest value, the lag-1 inflations and the scaling. The deviation process
@@ -103,15 +103,19 @@ def deviation(running, ls, n: int, total):
     return np.subtract(running, d, out=d)
 
 
-def tail_grid(v: np.ndarray, ks, phi: str | None = None, adjust: str = "iid") -> TailGrid:
+def tail_grid(x: np.ndarray, ks, phi: str | None = None, adjust: str = "iid") -> TailGrid:
     """Evaluate the tail quantities at every ``k`` of ``ks`` at once.
 
-    ``v`` is a finite non-negative series of length ``n >= 2``, or a block of
-    such series of shape ``(R, n)``; every ``k`` is at least 1. Hill is always
-    evaluated; the statistic and scaling only when ``phi`` names a transform;
-    the lag-1 inflations only when ``adjust == "lag1"``. A column with
-    ``k > n - 1`` is evaluated at ``n - 1`` and flagged :data:`TOO_SHORT`.
+    ``x`` is a finite float series of length ``n >= 2``, or a block of such
+    series of shape ``(R, n)``, whose absolute values are used; every ``k`` is
+    at least 1. Hill is always evaluated; the statistic and scaling only when
+    ``phi`` names a transform; the lag-1 inflations only when ``adjust ==
+    "lag1"``. A column with ``k > n - 1`` is evaluated at ``n - 1`` and flagged
+    :data:`TOO_SHORT`.
     """
+    # folded into a copy, later the log-excess row, only if a value is not positive (one in the first 64 spares a pass)
+    positive = np.minimum.reduce(x[..., :64], axis=None, initial=np.inf) > 0.0
+    v = x if positive and np.minimum.reduce(x, axis=None, initial=np.inf) > 0.0 else np.abs(x)
     n = v.shape[-1]
     ks = np.asarray(ks, dtype=np.int64)
     kk = np.minimum(ks, n - 1)
@@ -152,7 +156,7 @@ def tail_grid(v: np.ndarray, ks, phi: str | None = None, adjust: str = "iid") ->
     # would regroup the pairwise sums, so the rows of each m go together.
     if v.ndim == 1:
         hits = (pool > srt[kmax - 1]).nonzero()[0] if pos is None else pos[pool > srt[kmax - 1]]
-        sums = _segments(v, hits, threshold, lowest[0], kk, finite_alpha, phi, adjust)
+        sums = _segments(v, hits, threshold, lowest[0], kk, finite_alpha, phi, adjust, v is not x)
     else:
         above = v > srt[:, kmax - 1, None]  # each series' values above its smallest threshold
         counts = np.add.reduce(above, axis=-1)
@@ -160,7 +164,7 @@ def tail_grid(v: np.ndarray, ks, phi: str | None = None, adjust: str = "iid") ->
         for m in np.unique(counts):
             rows = (counts == m).nonzero()[0]
             hits = above[rows].ravel().nonzero()[0].reshape(rows.size, m)
-            part = _segments(v[rows], hits, threshold[rows], lowest[0], kk, finite_alpha[rows], phi, adjust)
+            part = _segments(v[rows], hits, threshold[rows], lowest[0], kk, finite_alpha[rows], phi, adjust, True)
             for name, value in part.items():
                 sums.setdefault(name, np.empty(threshold.shape, value.dtype))[rows] = value
     return TailGrid(**out, **sums)
@@ -183,8 +187,10 @@ def _pool(v: np.ndarray, kmax: int) -> tuple[np.ndarray | None, np.ndarray]:
             return pos, v.take(pos)
 
 
-def _segments(v, hits, threshold, low, kk, finite_alpha, phi, adjust) -> dict:
-    """Lag-1 inflations, statistic and scaling of one series or a block sharing m; ``hits`` index its data."""
+def _segments(v, hits, threshold, low, kk, finite_alpha, phi, adjust, spare: bool) -> dict:
+    """Lag-1 inflations, statistic and scaling of one series or a block sharing m; ``hits`` index its data.
+
+    With ``spare``, ``v`` is the kernel's own copy and is overwritten once its values at ``hits`` are read."""
     n = v.shape[-1]
     lead = () if v.ndim == 1 else (np.arange(len(v))[:, None],)  # each column's row in a block
     idx = hits - n * lead[0] if lead else hits  # the columns' positions in their series
@@ -212,7 +218,8 @@ def _segments(v, hits, threshold, low, kk, finite_alpha, phi, adjust) -> dict:
     ends[..., :-1, 1] = idx
     if phi == "log_excess":
         # the full-length row sum fixes the rounding of D; one array of rows is reused for every k
-        row = np.zeros(v.shape)
+        row = v if spare else np.empty(v.shape)
+        row.fill(0.0)
         total = np.empty(threshold.shape)
         for j in range(kk.size):
             row.reshape(-1)[hits] = values[..., j, :]

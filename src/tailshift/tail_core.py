@@ -56,11 +56,14 @@ def finite_series(x) -> np.ndarray:
 
 
 def _finite_rows(v: np.ndarray) -> np.ndarray:
-    """The ``(R, n)`` block of series ``v``; a NaN or infinite value is rejected with its index in its series."""
-    finite = np.isfinite(v)
-    if not finite.all():
-        r = int(np.argmin(finite.all(axis=1)))  # the first series that holds one
-        i = int(np.argmin(finite[r]))
+    """The ``(R, n)`` block of series ``v``; a NaN or infinite value is rejected with its index in its series.
+
+    One sum decides: only when it is not finite (a bad value, or finite values that overflow it) is the block searched.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.add.reduce(v, axis=None)
+    if not abs(total) < np.inf and (bad := np.argwhere(~np.isfinite(v))).size:
+        r, i = bad[0]  # the first series that holds one, and its first
         raise ValueError(f"series contains a non-finite value at index {i} ({float(v[r, i])!r})")
     return v
 
@@ -90,13 +93,13 @@ _UNDEFINED = {  # the text of each status bit ``_at_k`` can raise for, in the or
 
 def _at_k(x, k: int, phi: str | None = None, adjust: str = "iid",
           needs: int = 0) -> tuple[np.ndarray, kernel.TailGrid]:
-    """The absolute values of ``x`` and the one-element kernel grid at ``k``.
+    """``x`` as a finite 1-d float array and the one-element kernel grid of its absolute values at ``k``.
 
     ``k`` must be an integer with ``1 <= k <= n - 1``; with ``TOO_SHORT`` in the
     status bits ``needs``, the series must instead hold the ``max(4, k + 2)``
     values the change test needs, and any other bit of ``needs`` the cell holds raises.
     """
-    v = nonneg_view(x)
+    v = finite_series(x)
     n = v.size
     if needs & kernel.TOO_SHORT:
         if n < max(4, k + 2):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import yule_walker_oracle
 from tailshift.ar_fit import FIT_METHODS, DegenerateDataError, _fit_rows, fit_ar, residual_cusum
+from tailshift.cusum import TailTestConfig, run_test
 from tailshift.tail_core import DegenerateThresholdError
 from tailshift.variates import ModelSpec, TDistParams, replication_rng, simulate
 
@@ -185,6 +186,16 @@ def test_residual_cusum_runs_and_reports_residual_axis():
     assert out.adjust == "iid"
     assert 1 <= out.l_hat <= out.n
     assert out.tau_hat == out.l_hat / out.n
+
+
+@pytest.mark.parametrize("phi", ["indicator", "log_excess"])
+def test_residual_cusum_is_run_test_on_the_fit_residuals(phi):
+    # the residuals are folded in place inside the call; the input and the outcome are as for run_test
+    x = simulate(AR_MODEL, 500, seed=12)
+    kept = x.copy()
+    out = residual_cusum(x, order=2, k=30, phi=phi)
+    assert np.array_equal(x, kept)
+    assert out == run_test(fit_ar(x, 2).residuals, TailTestConfig(k=30, phi=phi))
 
 
 def test_residual_cusum_k_validated_against_residual_count():

@@ -591,35 +591,39 @@ assert "scipy.signal" in sys.modules
 
 
 def test_each_scipy_module_loads_only_on_its_path(tmp_path):
-    # scipy.special is for the analytic critical value, scipy.linalg for a Yule-Walker fit
+    # critical values come from the package's own Newton solve; only a Yule-Walker fit needs scipy.linalg
     x = simulate(ModelSpec("iid", TDistParams(3.0)), 200, seed=1)
     path = write(tmp_path, "".join(f"{v!r}\n" for v in x.tolist()))
     out = str(tmp_path / "sim.txt")
+    table = str(tmp_path / "table.csv")
     script = f"""
 import sys
 
-def loaded(step, special, linalg):
+def loaded(step, linalg=False):
     scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-    if not special:
+    if not linalg:
         assert not scipy, (step, scipy)
-    assert ("scipy.special" in sys.modules) == special, step
     assert ("scipy.linalg" in sys.modules) == linalg, step
 
 import tailshift
-loaded("import tailshift", False, False)
+loaded("import tailshift")
 from tailshift import cli
 assert cli.main(["critical-values", "--mc", "--paths", "100", "--reps", "100"]) == 0
-loaded("critical-values --mc", False, False)
+loaded("critical-values --mc")
 assert cli.main(["simulate", "--model", "iid-burr", "--lam", "1", "--gamma", "-2", "--n", "200", "--out", {out!r}]) == 0
-loaded("simulate iid-burr", False, False)
+loaded("simulate iid-burr")
 assert cli.main(["simulate", "--model", "ma1-t", "--nu", "3", "--coef", "0.5", "--n", "200", "--out", {out!r}]) == 0
-loaded("simulate ma1-t", False, False)
+loaded("simulate ma1-t")
+assert cli.main(["critical-values"]) == 0
+loaded("critical-values")
 assert cli.main(["test", {path!r}, "--k", "20"]) in (0, 2)
-loaded("test", True, False)
+loaded("test")
 assert cli.main(["ar-test", {path!r}, "--k", "20", "--order", "1"]) in (0, 2)
-loaded("ar-test", True, False)
+loaded("ar-test")
+assert cli.main(["tables", "--table", "5", "--replications", "5", "--out", {table!r}]) == 0
+loaded("tables --table 5")
 assert cli.main(["ar-test", {path!r}, "--k", "20", "--order", "1", "--method", "yule-walker"]) in (0, 2)
-loaded("ar-test --method yule-walker", True, True)
+loaded("ar-test --method yule-walker", linalg=True)
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

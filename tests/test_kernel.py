@@ -172,6 +172,20 @@ def _assert_same_grids(got_grid, want_grid, where):
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), (name, where)
 
 
+def test_signed_input_is_folded_into_a_copy_of_its_own():
+    # a signed series or block is folded by the kernel into a copy, which then holds the log-excess row:
+    # the grid equals that of the absolute values bit for bit, and neither input is written
+    rng = np.random.default_rng(11)
+    for x in (rng.standard_t(3, 2**15 + 7), rng.standard_t(3, 60), rng.standard_t(3, (3, 60)),
+              np.array([2.0, -0.0, 0.0, 1.0, 3.0]), np.r_[np.full(64, 2.0), 3.0, -1.0, 0.5]):
+        signed, folded = x.copy(), np.abs(x)
+        ks = [1, 2, min(x.shape[-1] - 1, 40)]
+        for phi in (None, "indicator", "log_excess"):
+            for adjust in ("iid", "lag1"):
+                _assert_same_grids(tail_grid(x, ks, phi, adjust), tail_grid(folded, ks, phi, adjust), (phi, adjust))
+        assert x.tobytes() == signed.tobytes() and folded.tobytes() == np.abs(signed).tobytes()
+
+
 def _sorted_pool(v, kmax):
     """The least pool, from a full sort: the positions and values at least the (kmax+1)-th largest."""
     pos = (v >= np.sort(v)[-kmax - 1]).nonzero()[0]

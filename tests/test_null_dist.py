@@ -3,6 +3,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.special import kolmogi
 from scipy.stats import kstwobign
 
 from oracles import kolmogorov_cdf, kolmogorov_quantile
@@ -52,6 +53,55 @@ def test_analytic_quantile_solves_the_cdf():
         analytic_quantile(0.0)
     with pytest.raises(ValueError):
         analytic_quantile(1.0)
+
+
+def test_analytic_quantile_is_scipys_kolmogi_at_the_standard_levels():
+    # bit for bit, so default critical values, and every output built on them, are scipy's
+    for level in STANDARD_LEVELS:
+        assert analytic_quantile(level) == float(kolmogi(1.0 - level))
+
+
+def test_analytic_quantile_agrees_with_kolmogi_over_a_level_sweep():
+    for level in np.linspace(0.01, 1.0 - 1e-9, 2001):
+        assert analytic_quantile(float(level)) == pytest.approx(float(kolmogi(1.0 - level)), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("level", [1e-12, 1e-6, 0.5, 0.73, 1.0 - 1e-6, 1.0 - 1e-12])
+def test_analytic_quantile_solves_the_cdf_in_both_tails(level):
+    q = analytic_quantile(level)
+    assert math.isfinite(q) and q > 0.0
+    if level < 0.5:  # a tiny CDF is compared relatively; near 1 the oracle's CDF holds ~1e-16 absolute
+        assert kolmogorov_cdf(q) == pytest.approx(level, rel=1e-12)
+    else:
+        assert kolmogorov_cdf(q) == pytest.approx(level, rel=0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("level", [0.0, 1.0, -0.5, 1.5, float("nan")])
+def test_analytic_quantile_rejects_levels_outside_the_open_unit_interval(level):
+    with pytest.raises(ValueError, match=f"^level must lie in \\(0, 1\\), got {level}$"):
+        analytic_quantile(level)
+
+
+def test_analytic_quantile_below_the_resolution_of_one_minus_level():
+    # 1 - level rounds to 1 below ~1e-16, so kolmogi(1 - level) returns 0.0; the solve
+    # works on level itself there and keeps the quantile, which is exact and still rising
+    levels = (1e-12, 1e-16, 1e-17, 1e-100, 1e-300, 2.2250738585072014e-308, 5e-324)
+    assert float(kolmogi(1.0 - 1e-17)) == 0.0
+    values = [analytic_quantile(level) for level in levels]
+    assert all(0.0 < b < a for a, b in zip(values, values[1:]))
+    for level, q in zip(levels[:5], values):
+        assert kolmogorov_cdf(q) == pytest.approx(level, rel=1e-12)
+    # at the smallest subnormal level, the leading term pins the quantile: sqrt(2 pi) / q exp(-pi^2 / (8 q^2)) = level
+    q = values[-1]
+    assert math.log(math.sqrt(2.0 * math.pi) / q) - math.pi**2 / (8.0 * q * q) == pytest.approx(math.log(5e-324), rel=1e-12)
+
+
+@pytest.mark.parametrize("level", [1e-12, 0.5, 0.95, 1.0 - 1e-12])
+def test_analytic_quantile_stops_when_its_step_rule_never_holds(monkeypatch, level):
+    # with no step small enough to stop on, the solve still ends after its bounded loop, at the root
+    expected = analytic_quantile(level)
+    monkeypatch.setattr(null_dist.math, "ulp", lambda x: 0.0)
+    assert analytic_quantile(level) == pytest.approx(expected, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import warnings
 from functools import partial
 
 import numpy as np
@@ -7,12 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import hill_oracle, pareto_sample
+from tailshift.ar_fit import DegenerateDataError, fit_ar, residual_cusum
 from tailshift.cusum import TailTestConfig, cusum_statistic, deviation_process, run_test
 from tailshift.tail_core import (
     DegenerateThresholdError,
     _at_k,
+    _finite_rows,
     estimate_chi,
     estimate_omega,
+    finite_series,
     hill,
     nonneg_view,
 )
@@ -41,8 +45,10 @@ def total(x, k, phi="indicator"):
 
 def test_nonneg_view_modes():
     assert np.array_equal(nonneg_view([-1.0, 2.0]), [1.0, 2.0])
-    with pytest.raises(ValueError):
-        nonneg_view([[1.0, 2.0]])
+    for shaped in ([[1.0, 2.0]], [[-1.0, 2.0]], 3.0):
+        with pytest.raises(ValueError, match="^expected a 1-d series, got shape "):
+            nonneg_view(shaped)
+    assert nonneg_view([]).shape == (0,)
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +208,39 @@ def test_nonneg_view_rejects_non_finite_values():
         nonneg_view([-float("inf"), 1.0])
     with pytest.raises(ValueError, match="non-finite"):
         hill([1.0, float("inf"), 2.0, 3.0], 1)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("index", [0, 17, 39])
+@pytest.mark.parametrize("entry", [
+    lambda x: run_test(x, TailTestConfig(k=5)),
+    lambda x: run_test(x, TailTestConfig(k=5, phi="log_excess", adjust="lag1")),
+    lambda x: fit_ar(x, 2),
+    lambda x: fit_ar(x, 1, "yule_walker"),
+    lambda x: residual_cusum(x, order=1, k=5),
+], ids=["run_test", "run_test-log_excess-lag1", "fit_ar-ols", "fit_ar-yule_walker", "residual_cusum"])
+def test_each_entry_names_the_first_non_finite_value(entry, index, bad):
+    # the one-reduction check falls back to the exact search, which names the input index and value
+    x = replication_rng(3, 0).standard_t(3.0, 60)
+    x[index] = bad
+    x[-1] = np.nan  # a later bad value is not the one named
+    with pytest.raises(ValueError, match=f"^series contains a non-finite value at index {index} \\({bad!r}\\)$"):
+        entry(x)
+
+
+def test_finite_values_whose_sum_overflows_pass_without_warning():
+    # values near 1e308: their sum overflows to inf, so the exact check runs and finds every value finite
+    x = 0.5e308 * (1.0 + replication_rng(4, 0).uniform(size=50))
+    x[::7] *= -1.0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert np.array_equal(finite_series(x), x)
+        assert np.array_equal(nonneg_view(x), np.abs(x))
+        assert _finite_rows(np.stack([x, -x])).shape == (2, 50)
+        assert run_test(x, TailTestConfig(k=5)).n == 50
+        with pytest.raises(DegenerateDataError):  # finite input whose moments overflow: no fit, not a bad value
+            fit_ar(x, 1)
+    assert caught == []
 
 
 # ---------------------------------------------------------------------------

@@ -460,6 +460,42 @@ def test_simulate_models_and_change(capsys):
     assert captured.out == "" and captured.err == "error: seed must be non-negative, got -1\n"
 
 
+# each law is chosen so that a swapped --lam/--alpha, a dropped --beta or a pre-change
+# law reused after the change gives another series
+LAM = (["--lam", "2.5", "--gamma", "-2"], BurrParams(lam=2.5, gamma=-2.0))
+ALPHA = (["--alpha", "3", "--gamma", "-2"], BurrParams.from_alpha(3.0, -2.0))
+ALPHA_BETA = (["--alpha", "3", "--beta", "0.5", "--gamma", "-2"], BurrParams.from_alpha(3.0, -2.0, beta=0.5))
+POST_LAM = (["--post-lam", "0.75", "--post-gamma", "-1"], BurrParams(lam=0.75, gamma=-1.0))
+POST_ALPHA_BETA = (["--post-alpha", "1.5", "--post-beta", "2", "--post-gamma", "-0.5"],
+                   BurrParams.from_alpha(1.5, -0.5, beta=2.0))
+NU = (["--nu", "3"], TDistParams(3.0))
+POST_NU = (["--post-nu", "1"], TDistParams(1.0))
+
+
+@pytest.mark.parametrize("model, kind, coef, pre, post", [
+    ("iid-burr", "iid", None, LAM, None),
+    ("iid-burr", "iid", None, ALPHA, None),
+    ("iid-burr", "iid", None, ALPHA_BETA, None),
+    ("ma1-t", "ma1", 0.5, NU, None),
+    ("ar1-t", "ar1", 0.5, NU, None),
+    ("iid-burr", "iid", None, LAM, POST_ALPHA_BETA),
+    ("iid-burr", "iid", None, ALPHA, POST_LAM),
+    ("iid-burr", "iid", None, ALPHA_BETA, POST_LAM),
+    ("ma1-t", "ma1", 0.5, NU, POST_NU),
+    ("ar1-t", "ar1", 0.5, NU, POST_NU),
+])
+def test_simulate_flags_build_the_library_laws(capsys, model, kind, coef, pre, post):
+    argv = ["simulate", "--model", model, "--n", "30", "--seed", "4", *pre[0]]
+    argv += [] if coef is None else ["--coef", str(coef)]
+    change = None
+    if post is not None:
+        argv += ["--change-tau", "0.4", *post[0]]
+        change = ChangeSpec(tau=0.4, pre=pre[1], post=post[1])
+    assert main(argv) == 0
+    x = simulate(ModelSpec(kind, pre[1], coef=coef), 30, 4, change)
+    assert capsys.readouterr().out == "".join(f"{float(value)!r}\n" for value in x)
+
+
 def test_simulate_rejects_ignored_and_conflicting_flags(capsys):
     iid = ["simulate", "--model", "iid-burr", "--n", "10", "--seed", "1"]
     for argv, message in (

@@ -198,55 +198,49 @@ def cmd_tables(args) -> int:
     return 0
 
 
-_BURR_FLAGS = ("lam", "alpha", "beta", "gamma")
+_LAWS = {"t": ("nu",), "burr": ("lam", "alpha", "beta", "gamma")}  # the flags of each innovation law
 
 
-def _reject_unused_flags(args) -> None:
-    """A law flag that the model or a missing ``--change-tau`` would leave unused is a usage error."""
-    if args.change_tau is None:
-        for name in ("nu",) + _BURR_FLAGS:
-            if getattr(args, "post_" + name) is not None:
-                raise ValueError(f"--post-{name} requires --change-tau")
-    unused = ("nu",) if args.model == "iid-burr" else _BURR_FLAGS
-    for prefix in ("", "post_"):
-        for name in unused:
-            if getattr(args, prefix + name) is not None:
-                raise ValueError(f"--{prefix.replace('_', '-')}{name} does not apply to --model {args.model}")
+def _laws_from_args(args):
+    """The law before ``--change-tau`` and the one after it (None without it), from the flags of the model's law.
 
-
-def _innovation_from_args(args, prefix: str = ""):
-    get = lambda name: getattr(args, prefix + name)
-    flag = "--" + prefix.replace("_", "-")
-    if args.model == "iid-burr":
-        gamma = get("gamma")
-        if gamma is None:
-            raise ValueError(f"{flag}gamma is required for iid-burr")
-        beta = {} if get("beta") is None else {"beta": get("beta")}
-        if get("lam") is not None:
-            return BurrParams(lam=get("lam"), gamma=gamma, **beta)
-        if get("alpha") is not None:
-            return BurrParams.from_alpha(get("alpha"), gamma, **beta)
-        raise ValueError(f"iid-burr requires {flag}lam or {flag}alpha (with {flag}gamma)")
-    nu = get("nu")
-    if nu is None:
-        raise ValueError(f"{flag}nu is required for {args.model}")
-    return TDistParams(nu)
+    A law flag that the model or a missing ``--change-tau`` would leave unused is a usage error.
+    """
+    law = args.model.split("-")[1]
+    required = "nu" if law == "t" else "gamma"
+    value = lambda flag: getattr(args, flag[2:].replace("-", "_"))
+    prefixes = ("--", "--post-") if args.change_tau is not None else ("--",)
+    for prefix in ("--", "--post-"):
+        for name in _LAWS["t"] + _LAWS["burr"]:
+            if value(prefix + name) is not None and prefix not in prefixes:
+                raise ValueError(f"{prefix}{name} requires --change-tau")
+            if value(prefix + name) is not None and name not in _LAWS[law]:
+                raise ValueError(f"{prefix}{name} does not apply to --model {args.model}")
+    laws = []
+    for prefix in prefixes:
+        if value(prefix + required) is None:
+            raise ValueError(f"{prefix}{required} is required for {args.model}")
+        beta = {} if value(prefix + "beta") is None else {"beta": value(prefix + "beta")}
+        if law == "t":
+            laws.append(TDistParams(value(prefix + "nu")))
+        elif value(prefix + "lam") is not None:
+            laws.append(BurrParams(lam=value(prefix + "lam"), gamma=value(prefix + "gamma"), **beta))
+        elif value(prefix + "alpha") is not None:
+            laws.append(BurrParams.from_alpha(value(prefix + "alpha"), value(prefix + "gamma"), **beta))
+        else:
+            raise ValueError(f"iid-burr requires {prefix}lam or {prefix}alpha (with {prefix}gamma)")
+    return laws[0], (laws[1] if len(laws) > 1 else None)
 
 
 def cmd_simulate(args) -> int:
     seed = _seed(args.seed)
-    kind = {"iid-burr": "iid", "ma1-t": "ma1", "ar1-t": "ar1"}[args.model]
-    _reject_unused_flags(args)
-    innovation = _innovation_from_args(args)
-    model = ModelSpec(kind, innovation, coef=args.coef)
-    change = None
-    if args.change_tau is not None:
-        change = ChangeSpec(tau=args.change_tau, pre=innovation, post=_innovation_from_args(args, "post_"))
+    pre, post = _laws_from_args(args)
+    model = ModelSpec(args.model.split("-")[0], pre, coef=args.coef)
+    change = None if post is None else ChangeSpec(tau=args.change_tau, pre=pre, post=post)
     x = simulate(model, args.n, seed=seed, change=change)
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
-        for value in x:
-            out.write(f"{float(value)!r}\n")
+        out.writelines(f"{float(value)!r}\n" for value in x)
     finally:
         if out is not sys.stdout:
             out.close()
@@ -316,19 +310,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=None,
                        help="seed of the path; default $TAILSHIFT_SEED, else 0")
     p_sim.add_argument("--coef", type=float, help="MA/AR lag-1 coefficient (ma1-t and ar1-t only)")
-    p_sim.add_argument("--nu", type=float, help="t degrees of freedom")
-    burr = p_sim.add_mutually_exclusive_group()
-    burr.add_argument("--lam", type=float, help="Burr lam parameter")
-    burr.add_argument("--alpha", type=float, help="Burr tail exponent (alternative to --lam)")
-    p_sim.add_argument("--beta", type=float, help="Burr beta parameter (default 1)")
-    p_sim.add_argument("--gamma", type=float, help="Burr gamma parameter (negative)")
-    p_sim.add_argument("--change-tau", type=float, help="inject a change at this sample fraction")
-    p_sim.add_argument("--post-nu", type=float, help="post-change t degrees of freedom")
-    post_burr = p_sim.add_mutually_exclusive_group()
-    post_burr.add_argument("--post-lam", type=float, help="post-change Burr lam")
-    post_burr.add_argument("--post-alpha", type=float, help="post-change Burr tail exponent")
-    p_sim.add_argument("--post-beta", type=float, help="post-change Burr beta (default 1)")
-    p_sim.add_argument("--post-gamma", type=float, help="post-change Burr gamma (negative)")
+    p_sim.add_argument("--change-tau", type=float, help="switch to the law of the --post-* flags at this sample fraction")
+    for prefix, when in (("--", ""), ("--post-", "post-change ")):
+        p_sim.add_argument(prefix + "nu", type=float, help=f"{when}t degrees of freedom")
+        burr = p_sim.add_mutually_exclusive_group()
+        burr.add_argument(prefix + "lam", type=float, help=f"{when}Burr lam parameter")
+        burr.add_argument(prefix + "alpha", type=float, help=f"{when}Burr tail exponent (instead of {prefix}lam)")
+        p_sim.add_argument(prefix + "beta", type=float, help=f"{when}Burr beta parameter (default 1)")
+        p_sim.add_argument(prefix + "gamma", type=float, help=f"{when}Burr gamma parameter (negative)")
     p_sim.add_argument("--out", help="write the series here instead of stdout")
     p_sim.set_defaults(func=cmd_simulate)
 

@@ -57,6 +57,8 @@ class TailTestConfig:
             raise ValueError(f"adjust must be one of {ADJUST_MODES}, got {self.adjust!r}")
         if not 0.0 < self.level < 1.0:
             raise ValueError(f"level must lie in (0, 1), got {self.level}")
+        if 1.0 - self.level == 1.0:
+            raise ValueError(f"level {self.level!r} is too small: 1 - level rounds to 1.0, where the quantile is infinite")
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ change, and the localization MSE.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -264,7 +264,6 @@ _BURR_ROWS = ((2.0, -2.0), (2.0, -0.5), (1.0, -2.0), (1.0, -0.5))
 _MA_THETAS = (0.1, 0.5, 1.0)
 _AR_COEFS = (0.5, 0.9)
 _POWER_TAUS = (0.25, 0.5, 0.75)
-_CHANGE_3_TO_1 = ChangeSpec(tau=0.5, pre=TDistParams(3.0), post=TDistParams(1.0))
 
 
 def table_specs(
@@ -281,61 +280,37 @@ def table_specs(
     Tables 8/9: power under a t(3) -> t(1) innovation change (MA direct /
     AR residual). Table 10: change-point MSE for the MA design of table 8.
 
+    Each table is a list of ``(label, model, change)`` designs, and three
+    fields follow from the model and the table: ``adjust="lag1"`` exactly
+    for MA(1) models, ``test="ar_residual"`` (order 1, least squares: the
+    spec's defaults) exactly for AR(1) models, and ``phi="log_excess"``
+    exactly for tables 3, 5 and 7. Spec ``i`` in the returned order, the
+    designs within each block of ``n``, draws from seed ``seed + i``.
+
     The ``n = 3000`` half of each grid is heavy and only included when
     ``include_large`` is set.
     """
     if as_int(table_id, "table_id") not in TABLE_IDS:
         raise ValueError(f"table_id must be in {TABLE_IDS[0]}..{TABLE_IDS[-1]}, got {table_id}")
-    blocks = [(1000, _K_SMALL)]
-    if include_large:
-        blocks.append((3000, _K_LARGE))
-
-    specs: list[SimulationSpec] = []
-
-    def add(spec: SimulationSpec) -> None:
-        specs.append(replace(spec, seed=seed + len(specs), replications=replications))
-
-    for n, k_grid in blocks:
-        if table_id in (2, 3):
-            phi = "indicator" if table_id == 2 else "log_excess"
-            for alpha, gamma in _BURR_ROWS:
-                add(SimulationSpec(
-                    model=ModelSpec("iid", BurrParams.from_alpha(alpha, gamma)),
-                    n=n, k_grid=k_grid, phi=phi, adjust="iid",
-                    label=f"size-iid-burr(alpha={alpha:g},gamma={gamma:g})",
-                ))
-        elif table_id in (4, 5):
-            phi = "indicator" if table_id == 4 else "log_excess"
-            for theta in _MA_THETAS:
-                add(SimulationSpec(
-                    model=ModelSpec("ma1", TDistParams(2.0), coef=theta),
-                    n=n, k_grid=k_grid, phi=phi, adjust="lag1",
-                    label=f"size-ma1(theta={theta:g})",
-                ))
-        elif table_id in (6, 7):
-            phi = "indicator" if table_id == 6 else "log_excess"
-            for coef in _AR_COEFS:
-                add(SimulationSpec(
-                    model=ModelSpec("ar1", TDistParams(2.0), coef=coef),
-                    n=n, k_grid=k_grid, phi=phi, adjust="iid",
-                    test="ar_residual", ar_order=1, ar_method="ols",
-                    label=f"size-ar1-resid(coef={coef:g})",
-                ))
-        elif table_id in (8, 10):  # table 10 reads the MSE of the located change off table 8's design
-            for tau in _POWER_TAUS:
-                add(SimulationSpec(
-                    model=ModelSpec("ma1", TDistParams(3.0), coef=0.5),
-                    n=n, k_grid=k_grid, phi="indicator", adjust="lag1",
-                    change=replace(_CHANGE_3_TO_1, tau=tau),
-                    label=f"{'power' if table_id == 8 else 'mse'}-ma1(tau={tau:g})",
-                ))
-        else:  # table 9
-            for tau in _POWER_TAUS:
-                add(SimulationSpec(
-                    model=ModelSpec("ar1", TDistParams(3.0), coef=0.5),
-                    n=n, k_grid=k_grid, phi="indicator", adjust="iid",
-                    test="ar_residual", ar_order=1, ar_method="ols",
-                    change=replace(_CHANGE_3_TO_1, tau=tau),
-                    label=f"power-ar1-resid(tau={tau:g})",
-                ))
-    return specs
+    if table_id in (2, 3):
+        designs = [(f"size-iid-burr(alpha={alpha:g},gamma={gamma:g})",
+                    ModelSpec("iid", BurrParams.from_alpha(alpha, gamma)), None) for alpha, gamma in _BURR_ROWS]
+    elif table_id in (4, 5):
+        designs = [(f"size-ma1(theta={theta:g})", ModelSpec("ma1", TDistParams(2.0), coef=theta), None)
+                   for theta in _MA_THETAS]
+    elif table_id in (6, 7):
+        designs = [(f"size-ar1-resid(coef={coef:g})", ModelSpec("ar1", TDistParams(2.0), coef=coef), None)
+                   for coef in _AR_COEFS]
+    else:  # table 10 reads the MSE of the located change off table 8's design
+        kind = "ar1" if table_id == 9 else "ma1"
+        name = {8: "power-ma1", 9: "power-ar1-resid", 10: "mse-ma1"}[table_id]
+        designs = [(f"{name}(tau={tau:g})", ModelSpec(kind, TDistParams(3.0), coef=0.5),
+                    ChangeSpec(tau=tau, pre=TDistParams(3.0), post=TDistParams(1.0))) for tau in _POWER_TAUS]
+    blocks = [(1000, _K_SMALL)] + ([(3000, _K_LARGE)] if include_large else [])
+    cells = [(n, k_grid, *design) for n, k_grid in blocks for design in designs]
+    return [SimulationSpec(model=model, n=n, k_grid=k_grid, change=change, label=label,
+                           phi="log_excess" if table_id in (3, 5, 7) else "indicator",
+                           adjust="lag1" if model.kind == "ma1" else "iid",
+                           test="ar_residual" if model.kind == "ar1" else "direct",
+                           replications=replications, seed=seed + i)
+            for i, (n, k_grid, label, model, change) in enumerate(cells)]

@@ -48,7 +48,13 @@ class HillEstimate:
 
 
 def finite_series(x) -> np.ndarray:
-    """``x`` as a 1-d float array; NaN and infinite values are rejected with the index of the first one."""
+    """``x`` as a 1-d float array; NaN and infinite values are rejected with the index of the first one.
+
+    A float64 array is viewed, not copied. A complex series is rejected with its dtype: the conversion
+    to float would drop its imaginary part.
+    """
+    if np.iscomplexobj(x):
+        raise TypeError(f"expected a real series, got dtype {np.asarray(x).dtype}")
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"expected a 1-d series, got shape {v.shape}")

@@ -321,6 +321,17 @@ def test_critical_values_single_level_and_validation(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("level", ["1e-17", "1e-300"])
+def test_a_level_too_small_to_use_is_named(tmp_path, capsys, level):
+    path = write(tmp_path, HAND * 2)
+    for command in (["test", path, "--k", "2"], ["ar-test", path, "--k", "2", "--order", "1"]):
+        assert main([*command, "--level", level]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: level {float(level)!r} is too small: 1 - level rounds to 1.0, "
+                                "where the quantile is infinite\n")
+
+
 def test_critical_values_mc(capsys):
     assert main(["critical-values", "--mc", "--paths", "1000", "--reps", "300", "--seed", "7"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from oracles import cusum_oracle
 from tailshift.ar_fit import FIT_METHODS, fit_ar, residual_cusum
 from tailshift.cusum import ADJUST_MODES, PHI_KINDS, TailTestConfig, cusum_statistic, deviation_process, run_test
+from tailshift.experiments import SimulationSpec
 from tailshift.kernel import scale, tail_grid
 from tailshift.tail_core import DegenerateThresholdError, estimate_chi, estimate_omega, hill
 from tailshift.variates import BurrParams, ChangeSpec, ModelSpec, replication_rng, simulate
@@ -276,6 +277,22 @@ def test_config_rejects_non_integer_k(k):
 def test_config_rejects_bad_adjust_and_level(field, value, message):
     with pytest.raises(ValueError, match=message):
         TailTestConfig(k=2, **{field: value})
+
+
+@pytest.mark.parametrize("level", [1e-17, 1e-300, 2.0**-54])
+def test_a_level_whose_complement_rounds_to_one_is_named(level):
+    # 1 - level == 1.0: the quantile solve would see a level of 1 and name the wrong value
+    message = f"^level {level!r} is too small: 1 - level rounds to 1.0, where the quantile is infinite$"
+    with pytest.raises(ValueError, match=message):
+        run_test(HAND, TailTestConfig(k=2, level=level))
+    with pytest.raises(ValueError, match=message):
+        residual_cusum(HAND * 2, order=1, k=2, level=level)
+    with pytest.raises(ValueError, match=message):
+        SimulationSpec(model=ModelSpec("iid", BurrParams.from_alpha(2.0, -1.0)), n=100, k_grid=(10,), level=level)
+
+
+def test_the_smallest_usable_level_has_a_finite_critical_value():
+    assert 4.3 < run_test(HAND, TailTestConfig(k=2, level=2.0**-53)).critical_value < 4.4
 
 
 @settings(max_examples=50)

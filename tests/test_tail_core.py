@@ -243,6 +243,29 @@ def test_finite_values_whose_sum_overflows_pass_without_warning():
     assert caught == []
 
 
+@pytest.mark.parametrize("kind", ["complex128", "complex64", "list", "zero imaginary part"])
+@pytest.mark.parametrize("entry", [
+    lambda x: run_test(x, TailTestConfig(k=5)),
+    lambda x: hill(x, 5),
+    lambda x: fit_ar(x, 1),
+    lambda x: residual_cusum(x, order=1, k=5),
+], ids=["run_test", "hill", "fit_ar", "residual_cusum"])
+def test_complex_input_is_a_type_error_naming_its_dtype(entry, kind):
+    # a float conversion would drop the imaginary part with only a ComplexWarning
+    dtype = "complex64" if kind == "complex64" else "complex128"
+    x = replication_rng(3, 0).standard_t(3.0, 60) + (0j if kind == "zero imaginary part" else 0.5j)
+    x = x.tolist() if kind == "list" else x.astype(dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TypeError, match=f"^expected a real series, got dtype {dtype}$"):
+            entry(x)
+
+
+def test_a_float64_series_is_viewed_not_copied():
+    x = replication_rng(3, 0).standard_t(3.0, 60)
+    assert np.shares_memory(finite_series(x), x)
+
+
 # ---------------------------------------------------------------------------
 # degeneracies: which entry point raises, with which text
 # ---------------------------------------------------------------------------

@@ -284,8 +284,9 @@ def table_specs(
     fields follow from the model and the table: ``adjust="lag1"`` exactly
     for MA(1) models, ``test="ar_residual"`` (order 1, least squares: the
     spec's defaults) exactly for AR(1) models, and ``phi="log_excess"``
-    exactly for tables 3, 5 and 7. Spec ``i`` in the returned order, the
-    designs within each block of ``n``, draws from seed ``seed + i``.
+    exactly for tables 3, 5 and 7. The specs come by block of ``n`` (1000,
+    then 3000), each block in design order, and spec ``i`` of that order is
+    seeded ``seed + i``.
 
     The ``n = 3000`` half of each grid is heavy and only included when
     ``include_large`` is set.

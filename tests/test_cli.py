@@ -513,7 +513,15 @@ def test_simulate_rejects_ignored_and_conflicting_flags(capsys):
         # --coef with iid-burr was dropped; lam silently won over alpha
         (iid + ["--lam", "1", "--gamma", "-1", "--coef", "0.5"], "error: iid model takes no coefficient\n"),
         (["simulate", "--model", "ar1-t", "--nu", "3", "--n", "10"], "error: ar1 model requires a coefficient\n"),
+        (["simulate", "--model", "ma1-t", "--nu", "3", "--coef", "0.5"],
+         "error: the following arguments are required: --n\n"),
+        (["simulate", "--nu", "3", "--n", "10"], "error: the following arguments are required: --model\n"),
         (["simulate", "--model", "ma1-t", "--coef", "0.5", "--n", "10"], "error: --nu is required for ma1-t\n"),
+        (["simulate", "--model", "ar1-t", "--nu", "3", "--coef", "0.5", "--n", "10", "--change-tau", "0.5"],
+         "error: --post-nu is required for ar1-t\n"),
+        (iid + ["--lam", "1"], "error: --gamma is required for iid-burr\n"),
+        (iid + ["--lam", "1", "--gamma", "-1", "--change-tau", "0.5", "--post-lam", "1"],
+         "error: --post-gamma is required for iid-burr\n"),
         (iid + ["--lam", "1", "--alpha", "9", "--gamma", "-1"],
          "error: argument --alpha: not allowed with argument --lam\n"),
         (iid + ["--lam", "1", "--gamma", "-1", "--change-tau", "0.5", "--post-lam", "1", "--post-alpha", "2",

@@ -309,8 +309,10 @@ def test_table_specs_structure():
     large = table_specs(2, replications=7, seed=5, include_large=True)
     assert len(large) == 8
     assert {s.n for s in large} == {1000, 3000}
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^table_id must be in 2..10, got 99$"):
         table_specs(99)
+    defaults = table_specs(2)  # 2000 replications, seeds 0, 1, ... in order
+    assert [(s.replications, s.seed) for s in defaults] == [(2000, i) for i in range(4)]
     for table_id in (5.0, True):  # an integer argument, like every other
         with pytest.raises(TypeError, match="table_id must be an integer"):
             table_specs(table_id)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tailshift import cli, experiments
+from tailshift.ar_fit import residual_cusum
 from tailshift.cli import main, read_series
+from tailshift.cusum import TailTestConfig, run_test
 from tailshift.variates import BurrParams, ChangeSpec, ModelSpec, TDistParams, replication_rng, simulate
 
 HAND = "5\n1\n2\n3\n"
@@ -292,6 +295,20 @@ def test_ar_test_takes_signed_input_without_notice_or_no_abs(tmp_path, capsys):
     assert "unrecognized arguments: --no-abs" in capsys.readouterr().err
     assert main(["ar-test", "--help"]) == 0
     assert "--no-abs" not in capsys.readouterr().out
+
+
+def test_the_flag_spellings_reach_the_library_names(tmp_path, capsys):
+    # --phi log-excess and --method yule-walker must reach the library as log_excess and yule_walker
+    x = simulate(ModelSpec("ar1", TDistParams(3.0), coef=0.5), 500, seed=6)
+    path = write(tmp_path, "".join(f"{float(v)!r}\n" for v in x))
+    assert main(["ar-test", path, "--k", "40", "--order", "1", "--phi", "log-excess", "--method", "yule-walker",
+                 "--format", "structured"]) in (0, 2)
+    outcome = residual_cusum(x, order=1, k=40, phi="log_excess", method="yule_walker")
+    assert json.loads(capsys.readouterr().out) == {**asdict(outcome), "order": 1, "method": "yule_walker"}
+    assert outcome != residual_cusum(x, order=1, k=40, phi="log_excess", method="ols")
+    assert main(["test", path, "--k", "40", "--phi", "log-excess", "--adjust", "lag1", "--format", "structured"]) in (0, 2)
+    outcome = run_test(x, TailTestConfig(k=40, phi="log_excess", adjust="lag1"))
+    assert json.loads(capsys.readouterr().out) == asdict(outcome)
 
 
 def test_ar_test_requires_order(tmp_path, capsys):

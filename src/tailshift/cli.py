@@ -32,8 +32,6 @@ from .experiments import TABLE_IDS, results_to_csv, results_to_report, sweep, ta
 from .null_dist import analytic_critical_values, mc_critical_values
 from .variates import BurrParams, ChangeSpec, ModelSpec, TDistParams, simulate
 
-_PHI_BY_FLAG = {"indicator": "indicator", "log-excess": "log_excess"}
-_METHOD_BY_FLAG = {"ols": "ols", "yule-walker": "yule_walker"}
 # np.loadtxt decompresses these (and fetches URLs) where the loop reads plain text
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
@@ -116,7 +114,7 @@ def _emit_outcome(outcome: TestOutcome, fmt: str, extra: dict | None = None) -> 
     print("decision: change detected" if outcome.reject else "decision: no change detected")
 
 
-def _prepare_input(args) -> np.ndarray:
+def cmd_test(args) -> int:
     x = read_series(args.input)
     if np.any(x < 0.0):
         if args.no_abs:
@@ -127,27 +125,23 @@ def _prepare_input(args) -> np.ndarray:
             "(use --no-abs to require non-negative input)",
             file=sys.stderr,
         )
-    return x
-
-
-def cmd_test(args) -> int:
-    x = _prepare_input(args)
-    cfg = TailTestConfig(k=args.k, phi=_PHI_BY_FLAG[args.phi], adjust=args.adjust, level=args.level)
+    cfg = TailTestConfig(k=args.k, phi=args.phi.replace("-", "_"), adjust=args.adjust, level=args.level)
     outcome = run_test(x, cfg)
     _emit_outcome(outcome, args.format)
     return 2 if outcome.reject else 0
 
 
 def cmd_ar_test(args) -> int:
+    method = args.method.replace("-", "_")
     outcome = residual_cusum(
         read_series(args.input),
         order=args.order,
         k=args.k,
-        phi=_PHI_BY_FLAG[args.phi],
-        method=_METHOD_BY_FLAG[args.method],
+        phi=args.phi.replace("-", "_"),
+        method=method,
         level=args.level,
     )
-    extra = {"order": args.order, "method": _METHOD_BY_FLAG[args.method]}
+    extra = {"order": args.order, "method": method}
     _emit_outcome(outcome, args.format, extra=extra)
     return 2 if outcome.reject else 0
 
@@ -251,10 +245,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="tailshift", description="CUSUM tests for tail-index changes")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # a --phi or --method choice is the library's name with "-" for "_"
     def add_test_options(p):
         p.add_argument("input", help="path to a series file, or '-' for stdin")
         p.add_argument("--k", type=int, required=True, help="tail sample fraction (no default)")
-        p.add_argument("--phi", choices=sorted(_PHI_BY_FLAG), default="indicator",
+        p.add_argument("--phi", choices=("indicator", "log-excess"), default="indicator",
                        help="statistic: exceedance counts (indicator) or log excesses (log-excess); "
                             "default %(default)s")
         p.add_argument("--level", type=float, default=0.05,
@@ -276,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ar = sub.add_parser("ar-test", help="change test on AR(p) residuals")
     add_test_options(p_ar)
     p_ar.add_argument("--order", type=int, required=True, help="autoregressive order p")
-    p_ar.add_argument("--method", choices=sorted(_METHOD_BY_FLAG), default="ols",
+    p_ar.add_argument("--method", choices=("ols", "yule-walker"), default="ols",
                       help="AR fit: least squares (ols) or Yule-Walker; default %(default)s")
     p_ar.set_defaults(func=cmd_ar_test)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel, null_dist
-from .tail_core import _at_k, as_int, nonneg_view
+from .tail_core import _at_k, as_int
 
 __all__ = [
     "PHI_KINDS",
@@ -42,7 +42,8 @@ class TailTestConfig:
     ``phi`` selects the exceedance transform ("indicator" counts exceedances,
     "log_excess" accumulates their log sizes), ``adjust`` picks the scaling
     ("iid" for independent data, "lag1" to correct for short-range dependence
-    with the lag-1 estimates), and ``level`` is the nominal significance level.
+    with the lag-1 estimates), and ``level`` is the nominal significance level,
+    in (0, 1) and at least ``2**-1022``, the smallest normal float.
     """
 
     k: int
@@ -57,8 +58,9 @@ class TailTestConfig:
             raise ValueError(f"adjust must be one of {ADJUST_MODES}, got {self.adjust!r}")
         if not 0.0 < self.level < 1.0:
             raise ValueError(f"level must lie in (0, 1), got {self.level}")
-        if 1.0 - self.level == 1.0:
-            raise ValueError(f"level {self.level!r} is too small: 1 - level rounds to 1.0, where the quantile is infinite")
+        # a subnormal level has too few digits for its critical value (the smallest cannot be solved at all)
+        if self.level < 2.0**-1022:
+            raise ValueError(f"level must be at least 2**-1022, the smallest normal float, got {self.level!r}")
 
 
 @dataclass(frozen=True)
@@ -103,12 +105,11 @@ def deviation_process(x, k: int, phi: str = "indicator") -> np.ndarray:
     k-th largest absolute value and must be positive for the log transform.
     """
     _check_phi(phi)
-    v = nonneg_view(x)
-    grid = _at_k(v, k, phi, needs=kernel.ZERO_THRESHOLD if phi == "log_excess" else 0)[1]
-    t = grid.threshold
+    v, grid = _at_k(x, k, phi, needs=kernel.ZERO_THRESHOLD if phi == "log_excess" else 0)
+    v, t = np.abs(v), grid.threshold
     hits = (v > t[0]).nonzero()[0]
     # the running sums of the kernel's transformed exceedances, held from each one to the next
-    values = kernel.excess_sizes(v[hits], t, t[0])[0] if phi == "log_excess" else np.ones(hits.size)
+    values = kernel.excess_sizes(v[hits], t)[0] if phi == "log_excess" else np.ones(hits.size)
     running = np.repeat(np.concatenate([[0.0], np.cumsum(values)]), np.diff(hits, prepend=0, append=v.size))
     return kernel.deviation(running, np.arange(1, v.size + 1), v.size, grid.total[0])
 
@@ -125,7 +126,8 @@ def run_test(x, cfg: TailTestConfig) -> TestOutcome:
 
     Requires ``n >= max(4, k + 2)`` so that both order-statistic thresholds
     exist. Deterministic: the critical value is the analytic quantile at
-    ``1 - level``, and the test rejects when ``scale * statistic`` reaches it.
+    ``1 - level``, solved at ``level`` itself so that no digit of a small level
+    is lost, and the test rejects when ``scale * statistic`` reaches it.
     """
     v, grid = _at_k(x, cfg.k, cfg.phi, cfg.adjust, kernel.TOO_SHORT | kernel.ZERO_FLOOR | kernel.INFINITE_ALPHA)
     n = v.size
@@ -138,7 +140,7 @@ def run_test(x, cfg: TailTestConfig) -> TestOutcome:
     scale = float(grid.scale[0])
     scaled = scale * statistic
     l_hat = int(grid.l_hat[0])
-    critical_value = null_dist.analytic_quantile(1.0 - cfg.level)
+    critical_value = null_dist._solve(1.0 - cfg.level, cfg.level)
     return TestOutcome(
         n=n,
         k=cfg.k,

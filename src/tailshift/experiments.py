@@ -26,7 +26,7 @@ import numpy as np
 from .ar_fit import _fit_rows, check_fit_args
 from .cusum import TailTestConfig
 from .kernel import tail_grid
-from .null_dist import analytic_quantile
+from .null_dist import _solve
 from .tail_core import _finite_rows, as_int
 from .variates import (
     BurrParams,
@@ -130,7 +130,7 @@ def run_table(spec: SimulationSpec) -> TableResult:
     sq_err = np.zeros(n_k)
     ok_count = np.zeros(n_k, dtype=np.int64)
     alpha_sum = np.zeros(n_k)
-    critical = analytic_quantile(1.0 - spec.level)
+    critical = _solve(1.0 - spec.level, spec.level)
 
     for start in range(0, spec.replications, _BLOCK):
         rngs = [replication_rng(spec.seed, r) for r in range(start, min(start + _BLOCK, spec.replications))]

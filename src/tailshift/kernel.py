@@ -83,13 +83,13 @@ def chi(alpha_hat, cross, k):
     return 2.0 * alpha_hat * cross / k
 
 
-def excess_sizes(top: np.ndarray, threshold: np.ndarray, low: float) -> np.ndarray:
+def excess_sizes(top: np.ndarray, threshold: np.ndarray) -> np.ndarray:
     """``(..., K, m)``: ``log(top / threshold[..., j])`` where ``top`` (``(..., 1, m)``) exceeds it, else 0.
 
-    ``low`` is at most the smallest threshold. Clamping ``top`` at the threshold turns every non-exceedance,
-    and every value tied with it, into ``log 1 = 0``. Rows with a zero threshold hold meaningless values.
+    Clamping ``top`` at the threshold turns every non-exceedance, and every value tied with it, into
+    ``log 1 = 0``. Rows with a zero threshold hold meaningless values.
     """
-    t = (threshold if low > 0.0 else np.where(threshold > 0.0, threshold, 1.0))[..., None]
+    t = np.where(threshold > 0.0, threshold, 1.0)[..., None]
     return np.log(np.maximum(top, t) / t)
 
 
@@ -125,14 +125,12 @@ def tail_grid(x: np.ndarray, ks, phi: str | None = None, adjust: str = "iid") ->
     pos, pool = _pool(v, kmax)
     srt = np.sort(np.partition(pool, -kmax - 1)[..., -kmax - 1:])[..., ::-1]
     threshold = srt.take(kk - 1, axis=-1)
-    # the block's smallest threshold and (k+1)-th largest value, for excess_sizes
-    lowest = srt[kmax - 1:kmax + 1] if v.ndim == 1 else np.minimum.reduce(srt[:, kmax - 1:kmax + 1])
 
     # Hill over the (k+1)-th largest value from the sorted top k: tied order
     # statistics give log 1 = 0 exactly, so a fully tied top keeps alpha_hat = inf.
     floor = srt.take(kk, axis=-1)
     undefined = floor <= 0.0
-    hill_sum = np.add.reduce(excess_sizes(srt[..., None, :kmax], floor, lowest[1]), axis=-1)
+    hill_sum = np.add.reduce(excess_sizes(srt[..., None, :kmax], floor), axis=-1)
     hill_mean = hill_sum / kk
     hill_mean[undefined] = np.nan
     with np.errstate(divide="ignore"):
@@ -156,7 +154,7 @@ def tail_grid(x: np.ndarray, ks, phi: str | None = None, adjust: str = "iid") ->
     # would regroup the pairwise sums, so the rows of each m go together.
     if v.ndim == 1:
         hits = (pool > srt[kmax - 1]).nonzero()[0] if pos is None else pos[pool > srt[kmax - 1]]
-        sums = _segments(v, hits, threshold, lowest[0], kk, finite_alpha, phi, adjust, v is not x)
+        sums = _segments(v, hits, threshold, kk, finite_alpha, phi, adjust, v is not x)
     else:
         above = v > srt[:, kmax - 1, None]  # each series' values above its smallest threshold
         counts = np.add.reduce(above, axis=-1)
@@ -164,7 +162,7 @@ def tail_grid(x: np.ndarray, ks, phi: str | None = None, adjust: str = "iid") ->
         for m in np.unique(counts):
             rows = (counts == m).nonzero()[0]
             hits = above[rows].ravel().nonzero()[0].reshape(rows.size, m)
-            part = _segments(v[rows], hits, threshold[rows], lowest[0], kk, finite_alpha[rows], phi, adjust, True)
+            part = _segments(v[rows], hits, threshold[rows], kk, finite_alpha[rows], phi, adjust, True)
             for name, value in part.items():
                 sums.setdefault(name, np.empty(threshold.shape, value.dtype))[rows] = value
     return TailGrid(**out, **sums)
@@ -187,7 +185,7 @@ def _pool(v: np.ndarray, kmax: int) -> tuple[np.ndarray | None, np.ndarray]:
             return pos, v.take(pos)
 
 
-def _segments(v, hits, threshold, low, kk, finite_alpha, phi, adjust, spare: bool) -> dict:
+def _segments(v, hits, threshold, kk, finite_alpha, phi, adjust, spare: bool) -> dict:
     """Lag-1 inflations, statistic and scaling of one series or a block sharing m; ``hits`` index its data.
 
     With ``spare``, ``v`` is the kernel's own copy and is overwritten once its values at ``hits`` are read."""
@@ -196,7 +194,7 @@ def _segments(v, hits, threshold, low, kk, finite_alpha, phi, adjust, spare: boo
     idx = hits - n * lead[0] if lead else hits  # the columns' positions in their series
     top = v.take(hits)[..., None, :]
     exceed = top > threshold[..., None]
-    sizes = excess_sizes(top, threshold, low) if phi == "log_excess" or adjust == "lag1" else None
+    sizes = excess_sizes(top, threshold) if phi == "log_excess" or adjust == "lag1" else None
     sums = {}
     if adjust == "lag1":
         linked = (idx[..., 1:] - idx[..., :-1] == 1)[..., None, :]  # columns a and a + 1 are neighbours

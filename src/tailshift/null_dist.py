@@ -45,22 +45,27 @@ class CriticalValueTable:
 
 
 def analytic_quantile(level: float) -> float:
-    """Quantile of sup|Brownian bridge| at ``level``, the inverse Kolmogorov CDF, by Newton's method on its
-    series: below 1 the theta series is solved for ``level`` itself, so a level too small for ``1 - level``
-    to resolve keeps its quantile."""
+    """Quantile of sup|Brownian bridge| at ``level``, the inverse Kolmogorov CDF."""
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {level}")
-    p = 1.0 - level
-    # each start inverts a leading term: p ~ 2 exp(-2 x^2), level ~ sqrt(2 pi) / 0.8 exp(-pi^2 / (8 x^2))
-    x = math.sqrt(-math.log(p / 2.0) / 2.0) if p < 0.5 else math.pi / math.sqrt(8.0 * (1.142 - math.log(level)))
+    return _solve(level, 1.0 - level)
+
+
+def _solve(cdf: float, sf: float) -> float:
+    """The x where the Kolmogorov CDF is ``cdf`` and its survival function ``sf`` (``cdf + sf = 1``), by
+    Newton's method on its series: from 1 up the survival series is solved for ``sf``, below 1 the theta
+    series for ``cdf``. Each reads its own argument exactly, so a test at significance level ``a`` passes
+    ``(1 - a, a)`` and keeps every digit of ``a``, also where ``1 - a`` rounds to 1."""
+    # each start inverts a leading term: sf ~ 2 exp(-2 x^2), cdf ~ sqrt(2 pi) / 0.8 exp(-pi^2 / (8 x^2))
+    x = math.sqrt(-math.log(sf / 2.0) / 2.0) if sf < 0.5 else math.pi / math.sqrt(8.0 * (1.142 - math.log(cdf)))
     for _ in range(50):  # at most 9 steps were seen over 2,000,000 random levels
         if x >= 1.0:  # survival 2 sum_j (-1)^(j-1) exp(-2 j^2 x^2); 5 terms reach the last bit
             t = [(-1) ** (j - 1) * math.exp(-2.0 * j * j * x * x) for j in (1, 2, 3, 4, 5)]
-            step = (2.0 * sum(t) - p) / (8.0 * x * (t[0] + 4.0 * t[1] + 9.0 * t[2] + 16.0 * t[3] + 25.0 * t[4]))
+            step = (2.0 * sum(t) - sf) / (8.0 * x * (t[0] + 4.0 * t[1] + 9.0 * t[2] + 16.0 * t[3] + 25.0 * t[4]))
         else:  # CDF sqrt(2 pi) / x exp(-w) sum_j exp(-((2j-1)^2 - 1) w), w = pi^2 / (8 x^2); exp(-w) may underflow
             w = math.pi * math.pi / (8.0 * x * x)
             t = [1.0] + [math.exp(-k * w) for k in (8.0, 24.0, 48.0)]
-            ratio = math.exp(math.log(level) + w) * x / (math.sqrt(2.0 * math.pi) * sum(t))  # level / CDF
+            ratio = math.exp(math.log(cdf) + w) * x / (math.sqrt(2.0 * math.pi) * sum(t))  # cdf / CDF(x)
             step = (ratio - 1.0) * x * sum(t) / (2.0 * w * (t[0] + 9.0 * t[1] + 25.0 * t[2] + 49.0 * t[3]) - sum(t))
         x += step
         if abs(step) <= 4.0 * math.ulp(x):  # rounding in the series moves a step by up to ~2.5 ulp
@@ -128,9 +133,7 @@ def mc_critical_values(
     workers = min(_worker_count(), n_rep)
     bounds = [n_rep * i // workers for i in range(workers + 1)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        chunks = [pool.submit(fill, start, stop) for start, stop in zip(bounds, bounds[1:])]
-        for chunk in chunks:
-            chunk.result()  # re-raises a worker's exception here
+        list(pool.map(fill, bounds[:-1], bounds[1:]))  # re-raises the first worker exception here
     values = tuple(float(q) for q in np.quantile(draws, levels))
     return CriticalValueTable(
         levels=levels,

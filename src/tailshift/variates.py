@@ -196,7 +196,9 @@ def simulate(model: ModelSpec, n: int, seed=None, change: ChangeSpec | None = No
     Under a :class:`ChangeSpec`, innovations ``1..floor(n*tau)`` follow
     ``change.pre`` and later ones ``change.post`` (``model.innovation`` is
     ignored). The MA(1) presample innovation and the AR(1) burn-in (``AR_BURNIN``
-    steps from zero, discarded) use the pre-change law. Draw order is fixed --
+    steps from zero, discarded) use the pre-change law. Where ``floor(n*tau)``
+    is 0, every observation comes after the change: only that presample and
+    burn-in then draw from ``change.pre``. Draw order is fixed --
     presample/burn-in and pre-change innovations first, then post-change --
     so a given ``(model, n, seed, change)`` always yields the same path.
     A path that overflows is a ``ValueError`` naming the model and its laws.

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import kolmogorov
 
 from tailshift import cli, experiments
 from tailshift.ar_fit import residual_cusum
@@ -340,13 +341,15 @@ def test_critical_values_single_level_and_validation(capsys):
 
 @pytest.mark.parametrize("level", ["1e-17", "1e-300"])
 def test_a_level_too_small_to_use_is_named(tmp_path, capsys, level):
+    # 1 - level rounds to 1.0, yet both test commands solve the critical value at the level itself
     path = write(tmp_path, HAND * 2)
     for command in (["test", path, "--k", "2"], ["ar-test", path, "--k", "2", "--order", "1"]):
-        assert main([*command, "--level", level]) == 1
+        assert main([*command, "--level", level, "--format", "structured"]) == 0
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (f"error: level {float(level)!r} is too small: 1 - level rounds to 1.0, "
-                                "where the quantile is infinite\n")
+        assert captured.err == ""
+        record = json.loads(captured.out)
+        assert record["level"] == float(level)
+        assert kolmogorov(record["critical_value"]) == pytest.approx(float(level), rel=1e-13, abs=0.0)
 
 
 def test_critical_values_mc(capsys):

@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.special import kolmogorov
+
 from oracles import cusum_oracle
+from tailshift import experiments, null_dist
 from tailshift.ar_fit import FIT_METHODS, fit_ar, residual_cusum
 from tailshift.cusum import ADJUST_MODES, PHI_KINDS, TailTestConfig, cusum_statistic, deviation_process, run_test
-from tailshift.experiments import SimulationSpec
+from tailshift.experiments import SimulationSpec, run_table
 from tailshift.kernel import scale, tail_grid
 from tailshift.tail_core import DegenerateThresholdError, estimate_chi, estimate_omega, hill
 from tailshift.variates import BurrParams, ChangeSpec, ModelSpec, replication_rng, simulate
@@ -273,6 +276,9 @@ def test_config_rejects_non_integer_k(k):
     ("adjust", "lag2", "adjust must be one of"),
     ("level", 0.0, "level must lie in \\(0, 1\\)"),
     ("level", 1.0, "level must lie in \\(0, 1\\)"),
+    # subnormal levels: the smallest has no solvable critical value, the others too few digits
+    ("level", 5e-324, "^level must be at least 2\\*\\*-1022, the smallest normal float, got 5e-324$"),
+    ("level", 1e-310, "^level must be at least 2\\*\\*-1022, the smallest normal float, got 1e-310$"),
 ])
 def test_config_rejects_bad_adjust_and_level(field, value, message):
     with pytest.raises(ValueError, match=message):
@@ -280,15 +286,23 @@ def test_config_rejects_bad_adjust_and_level(field, value, message):
 
 
 @pytest.mark.parametrize("level", [1e-17, 1e-300, 2.0**-54])
-def test_a_level_whose_complement_rounds_to_one_is_named(level):
-    # 1 - level == 1.0: the quantile solve would see a level of 1 and name the wrong value
-    message = f"^level {level!r} is too small: 1 - level rounds to 1.0, where the quantile is infinite$"
-    with pytest.raises(ValueError, match=message):
-        run_test(HAND, TailTestConfig(k=2, level=level))
-    with pytest.raises(ValueError, match=message):
-        residual_cusum(HAND * 2, order=1, k=2, level=level)
-    with pytest.raises(ValueError, match=message):
-        SimulationSpec(model=ModelSpec("iid", BurrParams.from_alpha(2.0, -1.0)), n=100, k_grid=(10,), level=level)
+def test_a_level_whose_complement_rounds_to_one_is_named(level, monkeypatch):
+    # 1 - level == 1.0, yet the critical value is solved at the level itself: scipy's survival
+    # function of the Kolmogorov law reads the level back from it
+    critical_value = run_test(HAND, TailTestConfig(k=2, level=level)).critical_value
+    assert kolmogorov(critical_value) == pytest.approx(level, rel=1e-13, abs=0.0)
+    assert residual_cusum(HAND * 2, order=1, k=2, level=level).critical_value == critical_value
+    solved = []
+
+    def solve(cdf, sf):
+        solved.append(null_dist._solve(cdf, sf))
+        return solved[-1]
+
+    monkeypatch.setattr(experiments, "_solve", solve)
+    spec = SimulationSpec(model=ModelSpec("iid", BurrParams.from_alpha(2.0, -1.0)), n=100, k_grid=(10,),
+                          level=level, replications=3)
+    assert run_table(spec).rows[0].error_count == 0
+    assert solved == [critical_value]
 
 
 def test_the_smallest_usable_level_has_a_finite_critical_value():

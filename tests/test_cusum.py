@@ -307,6 +307,17 @@ def test_a_level_whose_complement_rounds_to_one_is_named(level, monkeypatch):
 
 def test_the_smallest_usable_level_has_a_finite_critical_value():
     assert 4.3 < run_test(HAND, TailTestConfig(k=2, level=2.0**-53)).critical_value < 4.4
+    # the smallest normal float is usable, the largest subnormal one is not
+    assert 18.8 < run_test(HAND, TailTestConfig(k=2, level=2.0**-1022)).critical_value < 18.9
+    with pytest.raises(ValueError, match="level must be at least 2\\*\\*-1022"):
+        TailTestConfig(k=2, level=float(np.nextafter(2.0**-1022, 0.0)))
+
+
+@pytest.mark.parametrize("level", [0.9, 0.5, 0.05, 1e-10])
+def test_the_critical_value_is_the_reference_quantile_at_the_level(level):
+    # above about 0.27 the solve ends on the CDF series, read at 1 - level, and from 0.5 up it also starts there
+    critical_value = run_test(HAND, TailTestConfig(k=2, level=level)).critical_value
+    assert kolmogorov(critical_value) == pytest.approx(level, rel=1e-13, abs=0.0)
 
 
 @settings(max_examples=50)

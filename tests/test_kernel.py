@@ -177,7 +177,8 @@ def test_signed_input_is_folded_into_a_copy_of_its_own():
     # the grid equals that of the absolute values bit for bit, and neither input is written
     rng = np.random.default_rng(11)
     for x in (rng.standard_t(3, 2**15 + 7), rng.standard_t(3, 60), rng.standard_t(3, (3, 60)),
-              np.array([2.0, -0.0, 0.0, 1.0, 3.0]), np.r_[np.full(64, 2.0), 3.0, -1.0, 0.5]):
+              np.array([2.0, -0.0, 0.0, 1.0, 3.0]), np.r_[np.full(64, 2.0), 3.0, -1.0, 0.5],
+              np.r_[np.full(64, 2.0), -5.0, 1.0]):  # the first 64 are positive, the largest |x| is not
         signed, folded = x.copy(), np.abs(x)
         ks = [1, 2, min(x.shape[-1] - 1, 40)]
         for phi in (None, "indicator", "log_excess"):
@@ -313,6 +314,18 @@ def test_kernel_imports_no_package_module():
             assert node.level == 0 and not (node.module or "").startswith("tailshift"), ast.unparse(node)
         elif isinstance(node, ast.Import):
             assert not any(alias.name.startswith("tailshift") for alias in node.names), ast.unparse(node)
+
+
+def test_log_excess_total_is_the_full_length_row_sum():
+    # the kernel sums each k's log excesses over the whole row, in numpy's pairwise order, not over the hits alone
+    rng = np.random.default_rng(5)
+    ks = [10, 50, 100]
+    for x in (rng.standard_t(3, 1000), rng.standard_t(3, (3, 500))):
+        grid = tail_grid(x, ks, "log_excess")
+        v = np.abs(x)
+        for j in range(len(ks)):
+            t = grid.threshold[..., j, None]
+            assert grid.total[..., j].tobytes() == np.add.reduce(np.log(np.maximum(v, t) / t), axis=-1).tobytes()
 
 
 def test_total_hand_cases():

@@ -4,7 +4,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import hill_oracle, pareto_sample
@@ -141,6 +141,7 @@ def test_log_excesses_hand_case():
 
 @settings(max_examples=100)
 @given(series_and_k(), st.integers(min_value=-8, max_value=8))
+@example(([3.0, 1.0, 7.0, 2.0, 5.0, 4.0], 2), -8)  # thresholds below 1 once scaled
 def test_scale_invariance_exact_for_power_of_two(case, exponent):
     xs, k = case
     c = 2.0**exponent

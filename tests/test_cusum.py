@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
 from scipy.special import kolmogorov
 
 from oracles import cusum_oracle

@@ -100,18 +100,29 @@ def _read_lines(path: str) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
-def _emit_outcome(outcome: TestOutcome, fmt: str, extra: dict | None = None) -> None:
+def _write(text: str, path: str | None = None) -> None:
+    """Write ``text`` to the file at ``path``, or to standard output without one."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _emit_outcome(outcome: TestOutcome, fmt: str, extra: dict | None = None) -> int:
+    """Print ``outcome`` in ``fmt`` and return the exit code: 2 for a detected change, else 0."""
     extra = extra or {}
     record = asdict(outcome)  # the fields in declaration order
     # the diagnostics come last in both formats, after the ar-test extras too
     diagnostics = {key: record.pop(key) for key in ("threshold", "n_exceed")}
     if fmt == "structured":
         print(json.dumps({**record, **extra, **diagnostics}))
-        return
-    for key, value in {**extra, **record, **diagnostics}.items():
-        if key != "reject" and value is not None:
-            print(f"{key}: {value:.6g}" if isinstance(value, float) else f"{key}: {value}")
-    print("decision: change detected" if outcome.reject else "decision: no change detected")
+    else:
+        for key, value in {**extra, **record, **diagnostics}.items():
+            if key != "reject" and value is not None:
+                print(f"{key}: {value:.6g}" if isinstance(value, float) else f"{key}: {value}")
+        print("decision: change detected" if outcome.reject else "decision: no change detected")
+    return 2 if outcome.reject else 0
 
 
 def cmd_test(args) -> int:
@@ -127,8 +138,7 @@ def cmd_test(args) -> int:
         )
     cfg = TailTestConfig(k=args.k, phi=args.phi.replace("-", "_"), adjust=args.adjust, level=args.level)
     outcome = run_test(x, cfg)
-    _emit_outcome(outcome, args.format)
-    return 2 if outcome.reject else 0
+    return _emit_outcome(outcome, args.format)
 
 
 def cmd_ar_test(args) -> int:
@@ -142,8 +152,7 @@ def cmd_ar_test(args) -> int:
         level=args.level,
     )
     extra = {"order": args.order, "method": method}
-    _emit_outcome(outcome, args.format, extra=extra)
-    return 2 if outcome.reject else 0
+    return _emit_outcome(outcome, args.format, extra=extra)
 
 
 _MC_DEFAULT = 10_000  # points per path and paths, under --mc
@@ -163,7 +172,7 @@ def cmd_critical_values(args) -> int:
             if getattr(args, name) is not None:
                 raise ValueError(f"--{name} requires --mc")
         table = analytic_critical_values(args.levels)
-    sys.stdout.write(table.to_delimited())
+    _write(table.to_delimited())
     return 0
 
 
@@ -175,21 +184,13 @@ def cmd_tables(args) -> int:
         include_large=args.full,
     )
     results = sweep(specs)
-    csv_text = results_to_csv(results)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
-    else:
-        sys.stdout.write(csv_text)
+    _write(results_to_csv(results), args.out)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(results_to_report(results))
+        _write(results_to_report(results), args.report)
     failed = [r for r in results if r.error is not None]
-    if failed:
-        for r in failed:
-            print(f"error in spec {r.spec.label or r.spec}: {r.error}", file=sys.stderr)
-        return 1
-    return 0
+    for r in failed:
+        print(f"error in spec {r.spec.label or r.spec}: {r.error}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 _LAWS = {"t": ("nu",), "burr": ("lam", "alpha", "beta", "gamma")}  # the flags of each innovation law
@@ -232,12 +233,7 @@ def cmd_simulate(args) -> int:
     model = ModelSpec(args.model.split("-")[0], pre, coef=args.coef)
     change = None if post is None else ChangeSpec(tau=args.change_tau, pre=pre, post=post)
     x = simulate(model, args.n, seed=seed, change=change)
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
-        out.writelines(f"{float(value)!r}\n" for value in x)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    _write("".join(f"{float(value)!r}\n" for value in x), args.out)
     return 0
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from .ar_fit import _fit_rows, check_fit_args
 from .cusum import TailTestConfig
 from .kernel import tail_grid
-from .null_dist import _solve
+from .null_dist import _delimited, _solve
 from .tail_core import _finite_rows, as_int
 from .variates import (
     BurrParams,
@@ -185,7 +185,6 @@ def sweep(specs) -> list[TableResult]:
 
 
 def _innovation_tag(params) -> str:
-    # semicolon separators keep the fingerprint comma-free for the CSV column
     if isinstance(params, BurrParams):
         return f"burr(lam={params.lam:g};beta={params.beta:g};gamma={params.gamma:g})"
     return f"t(nu={params.nu:g})"
@@ -214,20 +213,19 @@ def spec_fingerprint(spec: SimulationSpec) -> str:
 
 
 def results_to_csv(results) -> str:
-    """One ``spec,k,...`` row per grid cell; empty mse_tau when no change is injected."""
-    lines = ["spec,k,rejection_rate,mse_tau,mean_alpha_hat,replications,error_count"]
+    """CSV with one ``spec,k,...`` row per grid cell; empty mse_tau when no change is injected.
+
+    The ``spec`` key is quoted where it holds a comma (the labels of tables 2 and 3). A failed spec gives one
+    row with empty cell fields and ``ERROR: <message>`` under ``error_count``, the message verbatim.
+    """
+    rows = [("spec", "k", "rejection_rate", "mse_tau", "mean_alpha_hat", "replications", "error_count")]
     for result in results:
+        key, reps = spec_fingerprint(result.spec), result.spec.replications
         if result.error is not None:
-            message = result.error.replace(",", ";")  # keep the row parseable
-            lines.append(f"{spec_fingerprint(result.spec)},,,,,{result.spec.replications},ERROR: {message}")
-            continue
-        for cell in result.rows:
-            mse = "" if cell.mse_tau is None else repr(cell.mse_tau)
-            lines.append(
-                f"{spec_fingerprint(result.spec)},{cell.k},{cell.rejection_rate!r},"
-                f"{mse},{cell.mean_alpha_hat!r},{result.spec.replications},{cell.error_count}"
-            )
-    return "\n".join(lines) + "\n"
+            rows.append((key, None, None, None, None, reps, f"ERROR: {result.error}"))
+        rows += [(key, cell.k, cell.rejection_rate, cell.mse_tau, cell.mean_alpha_hat, reps, cell.error_count)
+                 for cell in result.rows]  # none for a failed spec
+    return _delimited(rows)
 
 
 def _spec_dict(spec: SimulationSpec) -> dict:

@@ -7,6 +7,7 @@ recipe that discretizes the bridge as a standard normal partial-sum path.
 """
 from __future__ import annotations
 
+import io
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -37,11 +38,25 @@ class CriticalValueTable:
     source: str
 
     def to_delimited(self) -> str:
-        """Render as ``level,critical_value,source`` rows with a header line."""
-        lines = ["level,critical_value,source"]
-        for level, value in zip(self.levels, self.values):
-            lines.append(f"{level!r},{value!r},{self.source}")
-        return "\n".join(lines) + "\n"
+        """Render as CSV: a ``level,critical_value,source`` header and one row per level.
+
+        ``source`` is quoted under the Monte Carlo recipe: ``mc(paths=...,reps=...,seed=...)`` holds commas.
+        """
+        rows = [(level, value, self.source) for level, value in zip(self.levels, self.values)]
+        return _delimited([("level", "critical_value", "source"), *rows])
+
+
+def _delimited(rows) -> str:
+    """``rows`` as CSV text, each row ended by a newline.
+
+    A field is quoted only where it holds a comma, a double quote or a newline, ``None`` is an empty field
+    and a float is written as its ``repr``, so a row of plain fields is its fields joined by commas.
+    """
+    import csv  # here, so that importing the package and the test commands do not load it
+
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
 
 
 def analytic_quantile(level: float) -> float:

@@ -12,9 +12,10 @@ Every output comes from ``tailshift.cli.main`` run in-process:
 - ``critical-values`` with its default levels;
 - ``simulate`` for each model, without and with a change.
 
-Text is split into fields, and a field that reads as an integer or a float
-is stored as one. ``tests/test_golden.py`` recomputes the outputs and
-compares every integer, string and bool exactly and every float within
+CSV is read into fields with ``csv.reader`` and the series by line, and a
+field that reads as an integer or a float is stored as one.
+``tests/test_golden.py`` recomputes the outputs and compares every
+integer, string and bool exactly and every float within
 ``1e-12`` relative, since numpy's vector math and BLAS may round the last
 bits differently on another CPU. The file records the platform it was made
 on; there ``--check`` demands the very bytes of the file. Regenerating the
@@ -22,6 +23,7 @@ file changes that check; say so, and why, in CHANGES.md.
 """
 import argparse
 import contextlib
+import csv
 import io
 import json
 import math
@@ -76,10 +78,8 @@ def field(text: str):
 
 
 def rows(text: str) -> list:
-    """The fields of each line of delimited ``text``; only the first field (a spec's row key) may hold commas."""
-    lines = text.splitlines()
-    width = lines[0].count(",")
-    return [[field(part) for part in line.rsplit(",", width)] for line in lines]
+    """The fields of each row of CSV ``text``."""
+    return [[field(part) for part in row] for row in csv.reader(io.StringIO(text))]
 
 
 def outputs() -> dict:
@@ -88,11 +88,11 @@ def outputs() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         for table_id in TABLE_IDS:
             report = Path(tmp, "report.json")
-            csv = run(["tables", "--table", str(table_id), "--replications", str(REPLICATIONS),
-                       "--seed", str(SEED), "--report", str(report)])
+            grid = run(["tables", "--table", str(table_id), "--replications", str(REPLICATIONS),
+                        "--seed", str(SEED), "--report", str(report)])
             results = json.loads(report.read_text(encoding="utf-8"))["results"]
             out[f"tables {table_id}"] = {
-                "csv": rows(csv),
+                "csv": rows(grid),
                 "report": [{"error": result["error"], "rows": result["rows"]} for result in results],
             }
         series = str(Path(tmp, "series.txt"))

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import os
@@ -26,6 +27,10 @@ def write(tmp_path, text, name="series.txt"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def csv_rows(text):
+    return list(csv.reader(io.StringIO(text)))
 
 
 # ---------------------------------------------------------------------------
@@ -324,17 +329,17 @@ def test_ar_test_requires_order(tmp_path, capsys):
 
 def test_critical_values_analytic(capsys):
     assert main(["critical-values"]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0] == "level,critical_value,source"
-    values = [float(line.split(",")[1]) for line in lines[1:]]
+    rows = csv_rows(capsys.readouterr().out)
+    assert rows[0] == ["level", "critical_value", "source"]
+    values = [float(row[1]) for row in rows[1:]]
     assert values == pytest.approx([1.22387, 1.35810, 1.62762], abs=1e-3)
 
 
 def test_critical_values_single_level_and_validation(capsys):
     assert main(["critical-values", "--levels", "0.5"]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert len(lines) == 2
-    assert 0.8 < float(lines[1].split(",")[1]) < 0.9
+    rows = csv_rows(capsys.readouterr().out)
+    assert len(rows) == 2
+    assert 0.8 < float(rows[1][1]) < 0.9
     assert main(["critical-values", "--levels", "1.5"]) == 1
     capsys.readouterr()
 
@@ -354,10 +359,10 @@ def test_a_level_too_small_to_use_is_named(tmp_path, capsys, level):
 
 def test_critical_values_mc(capsys):
     assert main(["critical-values", "--mc", "--paths", "1000", "--reps", "300", "--seed", "7"]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    values = [float(line.split(",")[1]) for line in lines[1:]]
+    rows = csv_rows(capsys.readouterr().out)
+    values = [float(row[1]) for row in rows[1:]]
     assert values[0] < values[1] < values[2]
-    assert "mc(paths=1000" in lines[1]
+    assert [row[2] for row in rows[1:]] == ["mc(paths=1000,reps=300,seed=7)"] * 3
     assert values[1] == pytest.approx(1.358, abs=0.12)
     assert main(["critical-values", "--mc", "--paths", "10", "--reps", "100", "--seed", "-2"]) == 1
     captured = capsys.readouterr()
@@ -399,10 +404,25 @@ def test_critical_values_reads_env_seed_only_under_mc(monkeypatch, capsys):
 
 
 def test_critical_values_mc_defaults_paths_and_reps(capsys):
-    assert main(["critical-values", "--levels", "0.95", "--mc", "--paths", "10"]) == 0
-    assert capsys.readouterr().out.endswith(",mc(paths=10,reps=10000,seed=0)\n")
-    assert main(["critical-values", "--levels", "0.95", "--mc", "--reps", "100"]) == 0
-    assert capsys.readouterr().out.endswith(",mc(paths=10000,reps=100,seed=0)\n")
+    for flags, source in ((["--paths", "10"], "mc(paths=10,reps=10000,seed=0)"),
+                          (["--reps", "100"], "mc(paths=10000,reps=100,seed=0)")):
+        assert main(["critical-values", "--levels", "0.95", "--mc", *flags]) == 0
+        header, row = csv_rows(capsys.readouterr().out)
+        assert header == ["level", "critical_value", "source"]
+        assert row[0] == "0.95" and 1.0 < float(row[1]) < 1.7 and row[2] == source
+
+
+@pytest.mark.parametrize("argv", [
+    ["tables", "--table", "2", "--replications", "1"],
+    ["tables", "--table", "3", "--replications", "1"],
+    ["critical-values", "--mc", "--paths", "100", "--reps", "100"],
+])
+def test_every_csv_row_is_as_wide_as_its_header(capsys, argv):
+    # the row keys of tables 2 and 3 and the Monte Carlo source hold commas
+    assert main(argv) == 0
+    rows = csv_rows(capsys.readouterr().out)
+    assert len(rows) > 1 and {len(row) for row in rows} == {len(rows[0])}
+    assert any("," in field for row in rows[1:] for field in row)
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +445,8 @@ def test_tables_writes_grid(tmp_path, capsys):
 
 def test_tables_stdout_and_bad_id(capsys, monkeypatch):
     assert main(["tables", "--table", "6", "--replications", "1", "--seed", "2"]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert len(lines) == 1 + 2 * 10
+    rows = csv_rows(capsys.readouterr().out)
+    assert len(rows) == 1 + 2 * 10
     assert main(["tables", "--table", "99", "--replications", "1"]) == 1
     capsys.readouterr()
     assert main(["tables", "--table", "2", "--replications", "1", "--seed", "-1"]) == 1
@@ -444,9 +464,10 @@ def test_tables_stdout_and_bad_id(capsys, monkeypatch):
     monkeypatch.setattr(experiments, "run_table", failing)
     assert main(["tables", "--table", "6", "--replications", "1", "--seed", "2"]) == 1
     captured = capsys.readouterr()
-    failed = captured.out.strip().splitlines()
-    assert failed[:1] + failed[2:] == lines[:1] + lines[11:]
-    assert failed[1].startswith("size-ar1-resid(coef=0.5)/") and failed[1].endswith(",,,,,1,ERROR: boom; here")
+    failed = csv_rows(captured.out)
+    assert failed[:1] + failed[2:] == rows[:1] + rows[11:]
+    assert rows[1][0].startswith("size-ar1-resid(coef=0.5)/")
+    assert failed[1] == [rows[1][0], "", "", "", "", "1", "ERROR: boom, here"]  # the message verbatim
     assert captured.err == "error in spec size-ar1-resid(coef=0.5): boom, here\n"
 
 
@@ -682,7 +703,13 @@ def loaded(step, linalg=False):
 
 import tailshift
 loaded("import tailshift")
+assert "csv" not in sys.modules, "import tailshift"
 from tailshift import cli
+assert cli.main(["test", {path!r}, "--k", "20"]) in (0, 2)
+loaded("test")
+assert cli.main(["ar-test", {path!r}, "--k", "20", "--order", "1"]) in (0, 2)
+loaded("ar-test")
+assert "csv" not in sys.modules, "test and ar-test"  # only the commands that write CSV load it
 assert cli.main(["critical-values", "--mc", "--paths", "100", "--reps", "100"]) == 0
 loaded("critical-values --mc")
 assert cli.main(["simulate", "--model", "iid-burr", "--lam", "1", "--gamma", "-2", "--n", "200", "--out", {out!r}]) == 0
@@ -691,10 +718,6 @@ assert cli.main(["simulate", "--model", "ma1-t", "--nu", "3", "--coef", "0.5", "
 loaded("simulate ma1-t")
 assert cli.main(["critical-values"]) == 0
 loaded("critical-values")
-assert cli.main(["test", {path!r}, "--k", "20"]) in (0, 2)
-loaded("test")
-assert cli.main(["ar-test", {path!r}, "--k", "20", "--order", "1"]) in (0, 2)
-loaded("ar-test")
 assert cli.main(["tables", "--table", "5", "--replications", "5", "--out", {table!r}]) == 0
 loaded("tables --table 5")
 assert cli.main(["ar-test", {path!r}, "--k", "20", "--order", "1", "--method", "yule-walker"]) in (0, 2)

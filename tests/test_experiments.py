@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import warnings
 from dataclasses import replace
@@ -28,6 +30,11 @@ SMALL = SimulationSpec(
     replications=8,
     seed=4,
 )
+
+
+def csv_rows(text):
+    return list(csv.reader(io.StringIO(text)))
+
 
 # reference empirical sizes of the indicator statistic, i.i.d. case, n=1000
 SIZE_TABLE_N1000 = {
@@ -166,9 +173,9 @@ def test_sweep_isolates_failing_specs(monkeypatch):
     with pytest.raises(ValueError):
         sweep([])
     # both renderers report the failed spec in its place
-    lines = results_to_csv(results).splitlines()
-    assert lines[1 + len(SMALL.k_grid)] == (
-        f"{spec_fingerprint(failing)},,,,,{failing.replications},ERROR: draw failed; on purpose")
+    rows = csv_rows(results_to_csv(results))
+    assert rows[1 + len(SMALL.k_grid)] == [
+        spec_fingerprint(failing), "", "", "", "", str(failing.replications), "ERROR: draw failed, on purpose"]
     report = json.loads(results_to_report(results))["results"]
     assert [entry["error"] for entry in report] == [None, "draw failed, on purpose", None]
     assert report[1]["rows"] == [] and report[1]["spec"]["label"] == "failing"
@@ -261,10 +268,11 @@ def test_sweep_identical_specs_identical_results():
 
 def test_csv_layout():
     results = sweep([SMALL])
-    lines = results_to_csv(results).strip().splitlines()
-    assert lines[0] == "spec,k,rejection_rate,mse_tau,mean_alpha_hat,replications,error_count"
-    assert len(lines) == 1 + len(SMALL.k_grid)
-    fields = lines[1].split(",")
+    text = results_to_csv(results)
+    assert text.splitlines()[0] == "spec,k,rejection_rate,mse_tau,mean_alpha_hat,replications,error_count"
+    rows = csv_rows(text)
+    assert len(rows) == 1 + len(SMALL.k_grid)
+    fields = rows[1]
     assert fields[0] == spec_fingerprint(SMALL)
     assert int(fields[1]) == 5
     assert 0.0 <= float(fields[2]) <= 1.0
@@ -282,11 +290,21 @@ def test_csv_mse_column_is_plain_decimal():
         seed=2,
         change=ChangeSpec(0.5, T3, TDistParams(1.0)),
     )
-    line = results_to_csv(sweep([spec])).strip().splitlines()[1]
-    fields = line.split(",")
-    assert "np." not in line
+    text = results_to_csv(sweep([spec]))
+    fields = csv_rows(text)[1]
+    assert "np." not in text
     assert 0.0 <= float(fields[3]) <= 1.0
 
+
+
+def test_csv_quotes_a_label_with_a_comma_a_quote_and_a_newline():
+    spec = replace(SMALL, label='odd, "quoted"\nlabel')
+    results = sweep([spec])
+    rows = csv_rows(results_to_csv(results))
+    assert rows[1:] == [[spec_fingerprint(spec), str(cell.k), repr(cell.rejection_rate), "",
+                         repr(cell.mean_alpha_hat), str(spec.replications), str(cell.error_count)]
+                        for cell in results[0].rows]
+    assert rows[1][0].startswith('odd, "quoted"\nlabel/')
 
 def test_report_json_round_trip():
     report = json.loads(results_to_report(sweep([SMALL])))

@@ -29,7 +29,7 @@ import numpy as np
 from .ar_fit import residual_cusum
 from .cusum import TailTestConfig, TestOutcome, run_test
 from .experiments import TABLE_IDS, results_to_csv, results_to_report, sweep, table_specs
-from .null_dist import analytic_critical_values, mc_critical_values
+from .null_dist import _null_nonfinite, analytic_critical_values, mc_critical_values
 from .variates import BurrParams, ChangeSpec, ModelSpec, TDistParams, simulate
 
 # np.loadtxt decompresses these (and fetches URLs) where the loop reads plain text
@@ -116,7 +116,7 @@ def _emit_outcome(outcome: TestOutcome, fmt: str, extra: dict | None = None) -> 
     # the diagnostics come last in both formats, after the ar-test extras too
     diagnostics = {key: record.pop(key) for key in ("threshold", "n_exceed")}
     if fmt == "structured":
-        print(json.dumps({**record, **extra, **diagnostics}))
+        print(json.dumps(_null_nonfinite({**record, **extra, **diagnostics}), allow_nan=False))
     else:
         for key, value in {**extra, **record, **diagnostics}.items():
             if key != "reject" and value is not None:

@@ -26,7 +26,7 @@ import numpy as np
 from .ar_fit import _fit_rows, check_fit_args
 from .cusum import TailTestConfig
 from .kernel import tail_grid
-from .null_dist import _delimited, _solve
+from .null_dist import _delimited, _null_nonfinite, _solve
 from .tail_core import _finite_rows, as_int
 from .variates import (
     BurrParams,
@@ -85,6 +85,8 @@ class SimulationSpec:
         object.__setattr__(self, "k_grid", tuple(test.k for test in tests))
         if not self.k_grid:
             raise ValueError("k_grid must be non-empty")
+        if "\r" in self.label:  # csv.writer leaves a bare carriage return unquoted before Python 3.13
+            raise ValueError(f"label must not hold a carriage return, got {self.label!r}")
         for k in self.k_grid:
             if not 1 <= k <= self.n - 2:
                 raise ValueError(f"every k must satisfy 1 <= k <= n - 2, got k={k}, n={self.n}")
@@ -241,13 +243,13 @@ def _spec_dict(spec: SimulationSpec) -> dict:
 
 
 def results_to_report(results) -> str:
-    """Structured JSON report: full spec echo plus per-cell aggregates."""
+    """Structured JSON report: full spec echo plus per-cell aggregates, a non-finite one as ``null``."""
     payload = []
     for result in results:
-        rows = [asdict(cell) for cell in result.rows]  # empty for a failed spec
+        rows = [_null_nonfinite(asdict(cell)) for cell in result.rows]  # empty for a failed spec
         entry = {"spec": _spec_dict(result.spec), "error": result.error, "rows": rows}
         payload.append(entry)
-    return json.dumps({"results": payload}, indent=2) + "\n"
+    return json.dumps({"results": payload}, indent=2, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,11 @@ def _delimited(rows) -> str:
     return out.getvalue()
 
 
+def _null_nonfinite(record: dict) -> dict:
+    """``record`` with each non-finite float value as None, which strict JSON writes as ``null``."""
+    return {key: None if isinstance(v, float) and not math.isfinite(v) else v for key, v in record.items()}
+
+
 def analytic_quantile(level: float) -> float:
     """Quantile of sup|Brownian bridge| at ``level``, the inverse Kolmogorov CDF."""
     if not 0.0 < level < 1.0:

@@ -5,8 +5,9 @@
 
 Every output comes from ``tailshift.cli.main`` run in-process:
 
-- ``tables`` 2-10 at 20 replications and seed 3: the CSV rows and, per spec,
-  the ``--report`` error and rows;
+- ``tables`` 2-10 with ``--full`` at 20 replications and seed 3: the CSV rows
+  and each spec's whole ``--report`` entry. The CSV key (``spec_fingerprint``)
+  and the entry's ``spec`` pin every grid design;
 - ``test --format structured`` on one simulated series, for each
   ``--phi``/``--adjust`` pair, and ``ar-test`` under each ``--method``;
 - ``critical-values`` with its default levels;
@@ -14,12 +15,12 @@ Every output comes from ``tailshift.cli.main`` run in-process:
 
 CSV is read into fields with ``csv.reader`` and the series by line, and a
 field that reads as an integer or a float is stored as one.
-``tests/test_golden.py`` recomputes the outputs and compares every
-integer, string and bool exactly and every float within
-``1e-12`` relative, since numpy's vector math and BLAS may round the last
-bits differently on another CPU. The file records the platform it was made
-on; there ``--check`` demands the very bytes of the file. Regenerating the
-file changes that check; say so, and why, in CHANGES.md.
+``tests/test_golden.py`` recomputes the outputs and compares every float of
+a ``spec`` entry, integer, string and bool exactly and every other float
+within ``1e-12`` relative, since numpy's vector math and BLAS may round the
+last bits differently on another CPU. The file records the platform it was
+made on; there ``--check`` demands the very bytes of the file. Regenerating
+the file changes that check; say so, and why, in CHANGES.md.
 """
 import argparse
 import contextlib
@@ -44,13 +45,11 @@ SEED = 3
 SERIES = ["simulate", "--model", "ma1-t", "--nu", "3", "--coef", "0.5", "--n", "2000", "--seed", "1",
           "--change-tau", "0.5", "--post-nu", "1"]
 K = "100"
-SIMULATIONS = {
-    "iid-burr": ["--alpha", "2", "--gamma", "-2"],
-    "ma1-t": ["--nu", "3", "--coef", "0.5"],
-    "ar1-t": ["--nu", "3", "--coef", "0.9"],
+SIMULATIONS = {  # each model's flags, and its flags after the change
+    "iid-burr": (["--alpha", "2", "--gamma", "-2"], ["--post-lam", "1", "--post-gamma", "-1"]),
+    "ma1-t": (["--nu", "3", "--coef", "0.5"], ["--post-nu", "1"]),
+    "ar1-t": (["--nu", "3", "--coef", "0.9"], ["--post-nu", "1"]),
 }
-CHANGES = {"iid-burr": ["--post-lam", "1", "--post-gamma", "-1"], "ma1-t": ["--post-nu", "1"],
-           "ar1-t": ["--post-nu", "1"]}
 
 
 def platform_record() -> dict:
@@ -70,10 +69,8 @@ def run(argv: list) -> str:
 def field(text: str):
     """``text`` as an int, else a float, else itself."""
     for kind in (int, float):
-        try:
+        with contextlib.suppress(ValueError):
             return kind(text)
-        except ValueError:
-            pass
     return text
 
 
@@ -88,28 +85,24 @@ def outputs() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         for table_id in TABLE_IDS:
             report = Path(tmp, "report.json")
-            grid = run(["tables", "--table", str(table_id), "--replications", str(REPLICATIONS),
+            grid = run(["tables", "--table", str(table_id), "--full", "--replications", str(REPLICATIONS),
                         "--seed", str(SEED), "--report", str(report)])
-            results = json.loads(report.read_text(encoding="utf-8"))["results"]
-            out[f"tables {table_id}"] = {
-                "csv": rows(grid),
-                "report": [{"error": result["error"], "rows": result["rows"]} for result in results],
-            }
+            out[f"tables {table_id}"] = {"csv": rows(grid),
+                                         "report": json.loads(report.read_text(encoding="utf-8"))["results"]}
         series = str(Path(tmp, "series.txt"))
         run(SERIES + ["--out", series])
         for phi in ("indicator", "log-excess"):
+            common = [series, "--k", K, "--phi", phi, "--format", "structured"]
             for adjust in ("iid", "lag1"):
-                argv = ["test", series, "--k", K, "--phi", phi, "--adjust", adjust, "--format", "structured"]
-                out[f"test --phi {phi} --adjust {adjust}"] = json.loads(run(argv))
+                out[f"test --phi {phi} --adjust {adjust}"] = json.loads(run(["test", *common, "--adjust", adjust]))
             for method in ("ols", "yule-walker"):
-                argv = ["ar-test", series, "--k", K, "--order", "1", "--phi", phi, "--method", method,
-                        "--format", "structured"]
+                argv = ["ar-test", *common, "--order", "1", "--method", method]
                 out[f"ar-test --phi {phi} --method {method}"] = json.loads(run(argv))
     out["critical-values"] = rows(run(["critical-values"]))
-    for model, flags in SIMULATIONS.items():
+    for model, (flags, post) in SIMULATIONS.items():
         argv = ["simulate", "--model", model, *flags, "--n", "200", "--seed", "5"]
         out[f"simulate {model}"] = [field(line) for line in run(argv).splitlines()]
-        change = [*argv, "--change-tau", "0.5", *CHANGES[model]]
+        change = [*argv, "--change-tau", "0.5", *post]
         out[f"simulate {model} change"] = [field(line) for line in run(change).splitlines()]
     return out
 

@@ -192,6 +192,20 @@ def test_structured_output_round_trips(tmp_path, capsys):
     assert capsys.readouterr().out == first
 
 
+def no_constant(name):
+    raise AssertionError(f"{name} is not strict JSON")
+
+
+def test_an_infinite_alpha_hat_is_null_in_the_structured_record(tmp_path, capsys):
+    # the four largest values tie at 5, so none exceeds the threshold and alpha_hat is infinite
+    path = write(tmp_path, "5\n5\n5\n5\n1\n2\n3\n1\n2\n0.5\n")
+    assert main(["test", path, "--k", "3", "--format", "structured"]) == 0
+    record = json.loads(capsys.readouterr().out, parse_constant=no_constant)
+    assert (record["alpha_hat"], record["n_exceed"], record["threshold"]) == (None, 0, 5.0)
+    assert main(["test", path, "--k", "3"]) == 0
+    assert "alpha_hat: inf" in capsys.readouterr().out.splitlines()
+
+
 def test_stdin_input(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO(HAND))
     assert main(["test", "-", "--k", "2"]) == 0
@@ -441,6 +455,18 @@ def test_tables_writes_grid(tmp_path, capsys):
     assert len(lines) == 1 + 4 * 10  # header + 4 rows x 10 k cells
     payload = json.loads(report.read_text())
     assert len(payload["results"]) == 4
+
+
+def test_a_cell_without_an_ok_replication_is_null_in_the_report(tmp_path, capsys, monkeypatch):
+    # 12 points leave 3 residuals of an AR(9) fit, too few for k = 10 in every replication
+    spec = experiments.SimulationSpec(model=ModelSpec("iid", BurrParams.from_alpha(2.0, -2.0)), n=12, k_grid=(10,),
+                                      test="ar_residual", ar_order=9, replications=3)
+    monkeypatch.setattr(cli, "table_specs", lambda *args, **kwargs: [spec])
+    grid, report = tmp_path / "grid.csv", tmp_path / "report.json"
+    assert main(["tables", "--table", "9", "--out", str(grid), "--report", str(report)]) == 0
+    (row,) = json.loads(report.read_text(), parse_constant=no_constant)["results"][0]["rows"]
+    assert (row["mean_alpha_hat"], row["mse_tau"], row["error_count"]) == (None, None, 3)
+    assert csv_rows(grid.read_text())[1][4:] == ["nan", "3", "3"]  # the CSV keeps nan
 
 
 def test_tables_stdout_and_bad_id(capsys, monkeypatch):

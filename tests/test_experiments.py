@@ -108,6 +108,12 @@ def test_spec_validation():
     assert SimulationSpec(**{**base, "seed": 0}).seed == 0
 
 
+def test_spec_rejects_a_label_with_a_carriage_return():
+    # csv.writer leaves a bare "\r" unquoted before Python 3.13, and csv.reader then rejects the row
+    with pytest.raises(ValueError, match=r"^label must not hold a carriage return, got 'size\\rb'$"):
+        replace(SMALL, label="size\rb")
+
+
 def test_mse_present_iff_change():
     no_change = run_table(SMALL)
     assert all(cell.mse_tau is None for cell in no_change.rows)
@@ -335,8 +341,11 @@ def test_table_specs_structure():
         with pytest.raises(TypeError, match="table_id must be an integer"):
             table_specs(table_id)
     assert table_specs(np.int64(5), replications=1) == table_specs(5, replications=1)
-    for table_id in TABLE_IDS:
-        assert table_specs(table_id, replications=1)
+    for table_id in TABLE_IDS:  # the default grid is the n = 1000 prefix of the --full one, which alone is pinned
+        full = table_specs(table_id, include_large=True)
+        half = len(full) // 2
+        assert full and [s.n for s in full] == [1000] * half + [3000] * half
+        assert table_specs(table_id) == full[:half]
 
 
 def test_table_8_and_10_share_the_power_design():

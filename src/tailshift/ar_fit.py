@@ -145,5 +145,4 @@ def residual_cusum(
     """
     fit = fit_ar(x, order, method)
     cfg = TailTestConfig(k=k, phi=phi, adjust="iid", level=level)
-    # folded in place once checked, so the test holds one n-length array, not the residuals and their copy
-    return run_test(np.abs(finite_series(fit.residuals), out=fit.residuals), cfg)
+    return run_test(fit.residuals, cfg)

@@ -17,7 +17,6 @@ override it.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -116,6 +115,8 @@ def _emit_outcome(outcome: TestOutcome, fmt: str, extra: dict | None = None) -> 
     # the diagnostics come last in both formats, after the ar-test extras too
     diagnostics = {key: record.pop(key) for key in ("threshold", "n_exceed")}
     if fmt == "structured":
+        import json  # here, so that the human format does not load it
+
         print(json.dumps(_null_nonfinite({**record, **extra, **diagnostics}), allow_nan=False))
     else:
         for key, value in {**extra, **record, **diagnostics}.items():

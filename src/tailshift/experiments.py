@@ -18,7 +18,6 @@ change, and the localization MSE.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -85,6 +84,8 @@ class SimulationSpec:
         object.__setattr__(self, "k_grid", tuple(test.k for test in tests))
         if not self.k_grid:
             raise ValueError("k_grid must be non-empty")
+        if not isinstance(self.label, str):
+            raise TypeError(f"label must be a str, got {type(self.label).__name__}")
         if "\r" in self.label:  # csv.writer leaves a bare carriage return unquoted before Python 3.13
             raise ValueError(f"label must not hold a carriage return, got {self.label!r}")
         for k in self.k_grid:
@@ -244,6 +245,8 @@ def _spec_dict(spec: SimulationSpec) -> dict:
 
 def results_to_report(results) -> str:
     """Structured JSON report: full spec echo plus per-cell aggregates, a non-finite one as ``null``."""
+    import json  # here, so that importing the package does not load it
+
     payload = []
     for result in results:
         rows = [_null_nonfinite(asdict(cell)) for cell in result.rows]  # empty for a failed spec

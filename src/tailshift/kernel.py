@@ -1,11 +1,13 @@
 """The tail kernel: every quantity of the change test at every k of a grid in one pass.
 
 :func:`tail_grid` takes one series, shape ``(n,)``, or a block of series, shape
-``(R, n)``, whose absolute values it reads (folding a signed input into a copy
-of its own), and an integer grid ``ks``; its fields have shape ``(K,)`` or
-``(R, K)``. It selects the top ``max(k) + 1`` values of each series and sorts
-only those (a long single series is first cut to its values at least a bound,
-read off a strided sample, that ``max(k) + 1`` of them reach, so none is lost).
+``(R, n)``, whose absolute values it reads, and an integer grid ``ks``; its
+fields have shape ``(K,)`` or ``(R, K)``. It selects the top ``max(k) + 1``
+values of each series and sorts only those. A long single series is read in
+place: it is cut, one fixed chunk at a time, to its values at least a bound,
+read off a strided sample, that ``max(k) + 1`` of them reach (so none is lost),
+and only those are folded into the kernel's own arrays. A short series or a
+block with a value that is not positive is folded into a copy of its own.
 For all k at once it evaluates the thresholds (the k-th largest values), the exceedances over
 them and their log sizes (on the m values above the smallest threshold only),
 the statistic with its first maximizer, the Hill estimate over the (k+1)-th
@@ -31,6 +33,7 @@ TOO_SHORT = 1  # n < max(4, k + 2): too few values for the change test
 ZERO_FLOOR = 2  # the (k+1)-th largest value is 0: Hill and alpha_hat are undefined
 ZERO_THRESHOLD = 4  # the k-th largest value is 0: log excesses are undefined (ZERO_FLOOR holds too)
 INFINITE_ALPHA = 8  # alpha_hat is infinite; flagged only under log_excess, whose scaling reads it
+_CHUNK = 2**15  # values of a long series folded at a time by _pool (256 KB, within a core's cache)
 
 
 class TailGrid(NamedTuple):
@@ -113,16 +116,17 @@ def tail_grid(x: np.ndarray, ks, phi: str | None = None, adjust: str = "iid") ->
     "lag1"``. A column with ``k > n - 1`` is evaluated at ``n - 1`` and flagged
     :data:`TOO_SHORT`.
     """
-    # folded into a copy, later the log-excess row, only if a value is not positive (one in the first 64 spares a pass)
-    positive = np.minimum.reduce(x[..., :64], axis=None, initial=np.inf) > 0.0
-    v = x if positive and np.minimum.reduce(x, axis=None, initial=np.inf) > 0.0 else np.abs(x)
-    n = v.shape[-1]
+    n = x.shape[-1]
     ks = np.asarray(ks, dtype=np.int64)
     kk = np.minimum(ks, n - 1)
     # ufunc reductions, not the .max()/.sum() methods, whose wrappers outweigh the work on a short series
     kmax = int(np.maximum.reduce(kk))
     # Only the top kmax + 1 values are read: sort a copy of them out of the partition (freed at once).
-    pos, pool = _pool(v, kmax)
+    pos, pool = _pool(x, kmax)
+    v = x  # a long series is folded only at its hits, by _segments
+    if pos is None:  # all of x: folded into a copy, later the log-excess row, only if a value is not positive
+        positive = np.minimum.reduce(x[..., :64], axis=None, initial=np.inf) > 0.0  # one in the first 64 spares a pass
+        v = pool = x if positive and np.minimum.reduce(x, axis=None, initial=np.inf) > 0.0 else np.abs(x)
     srt = np.sort(np.partition(pool, -kmax - 1)[..., -kmax - 1:])[..., ::-1]
     threshold = srt.take(kk - 1, axis=-1)
 
@@ -168,31 +172,37 @@ def tail_grid(x: np.ndarray, ks, phi: str | None = None, adjust: str = "iid") ->
     return TailGrid(**out, **sums)
 
 
-def _pool(v: np.ndarray, kmax: int) -> tuple[np.ndarray | None, np.ndarray]:
-    """Positions (ascending; None: all) and values of the part of ``v`` that holds its top ``kmax + 1``.
+def _pool(x: np.ndarray, kmax: int) -> tuple[np.ndarray | None, np.ndarray]:
+    """Positions (ascending) and absolute values of the part of ``x`` that holds the top ``kmax + 1`` of ``|x|``.
 
-    A long series keeps its values at least the g-th largest of the sample ``v[::s]`` (a guess at the
-    2(kmax+1)-th largest of ``v``) if kmax + 1 of them reach it, else at least the sample's (kmax+1)-th.
+    Shorter series and blocks give ``(None, x)``: all of ``x``, unfolded. A long series keeps its values at
+    least the g-th largest of the folded sample ``|x[::s]|`` (a guess at the 2(kmax+1)-th largest of ``|x|``)
+    if kmax + 1 of them reach it, else at least the sample's (kmax+1)-th. It is read in chunks of
+    ``_CHUNK`` values, each folded into one reused buffer, so ``|x|`` is never held whole.
     """
-    s = v.shape[-1] // (8 * (kmax + 1))
-    if s < 16 or v.shape[-1] < 2**15 or v.ndim > 1:  # shorter series and blocks: all of v
-        return None, v
+    n = x.shape[-1]
+    s = n // (8 * (kmax + 1))
+    if s < 16 or n < 2**15 or x.ndim > 1:
+        return None, x
     g = 2 * (kmax + 1) // s + 1
-    top = np.partition(v[::s], -kmax - 1)[-kmax - 1:]  # the sample's kmax + 1 largest, the least first
+    top = np.partition(np.abs(x[::s]), -kmax - 1)[-kmax - 1:]  # the sample's kmax + 1 largest, the least first
+    buf = np.empty(_CHUNK)
     for c in (np.partition(top, -g)[-g], top[0]):
-        pos = (v >= c).nonzero()[0]
+        pos = np.concatenate([(np.abs(x[a:a + _CHUNK], out=buf[:n - a]) >= c).nonzero()[0] + a
+                              for a in range(0, n, _CHUNK)])
         if pos.size > kmax:
-            return pos, v.take(pos)
+            return pos, np.abs(x.take(pos))
 
 
 def _segments(v, hits, threshold, kk, finite_alpha, phi, adjust, spare: bool) -> dict:
-    """Lag-1 inflations, statistic and scaling of one series or a block sharing m; ``hits`` index its data.
-
-    With ``spare``, ``v`` is the kernel's own copy and is overwritten once its values at ``hits`` are read."""
+    """Lag-1 inflations, statistic and scaling of one series or a block sharing m; ``hits`` index its data,
+    whose absolute values are read. With ``spare``, ``v`` is the kernel's own copy and is overwritten once
+    its values at ``hits`` are read."""
     n = v.shape[-1]
     lead = () if v.ndim == 1 else (np.arange(len(v))[:, None],)  # each column's row in a block
     idx = hits - n * lead[0] if lead else hits  # the columns' positions in their series
     top = v.take(hits)[..., None, :]
+    np.abs(top, out=top)  # a long series is signed (in place: one more array here slowed the block path)
     exceed = top > threshold[..., None]
     sizes = excess_sizes(top, threshold) if phi == "log_excess" or adjust == "lag1" else None
     sums = {}

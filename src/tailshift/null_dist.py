@@ -10,7 +10,6 @@ from __future__ import annotations
 import io
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -149,6 +148,8 @@ def mc_critical_values(
     def fill(start: int, stop: int) -> None:
         for r in range(start, stop):
             draws[r] = _sup_deviation(replication_rng(seed, r), ls)
+
+    from concurrent.futures import ThreadPoolExecutor  # ~6 ms of stdlib, so only where Monte Carlo runs
 
     workers = min(_worker_count(), n_rep)
     bounds = [n_rep * i // workers for i in range(workers + 1)]

@@ -64,11 +64,11 @@ def finite_series(x) -> np.ndarray:
 def _finite_rows(v: np.ndarray) -> np.ndarray:
     """The ``(R, n)`` block of series ``v``; a NaN or infinite value is rejected with its index in its series.
 
-    One sum decides: only when it is not finite (a bad value, or finite values that overflow it) is the block searched.
+    One dot product of the block with itself decides (BLAS, which reads a contiguous block in place and sets
+    no floating-point warning): only when it is not finite (a bad value, or finite values whose squares
+    overflow it) is the block searched.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = np.add.reduce(v, axis=None)
-    if not abs(total) < np.inf and (bad := np.argwhere(~np.isfinite(v))).size:
+    if not np.vdot(v, v) < np.inf and (bad := np.argwhere(~np.isfinite(v))).size:
         r, i = bad[0]  # the first series that holds one, and its first
         raise ValueError(f"series contains a non-finite value at index {i} ({float(v[r, i])!r})")
     return v

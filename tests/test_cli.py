@@ -727,15 +727,21 @@ def loaded(step, linalg=False):
         assert not scipy, (step, scipy)
     assert ("scipy.linalg" in sys.modules) == linalg, step
 
+def stdlib(step):
+    # loaded on first use: csv by the commands that write CSV, json by the structured formats, the thread pool by --mc
+    for name in ("csv", "json", "concurrent.futures"):
+        assert name not in sys.modules, (step, name)
+
 import tailshift
 loaded("import tailshift")
-assert "csv" not in sys.modules, "import tailshift"
+stdlib("import tailshift")
 from tailshift import cli
 assert cli.main(["test", {path!r}, "--k", "20"]) in (0, 2)
 loaded("test")
+stdlib("test")
 assert cli.main(["ar-test", {path!r}, "--k", "20", "--order", "1"]) in (0, 2)
 loaded("ar-test")
-assert "csv" not in sys.modules, "test and ar-test"  # only the commands that write CSV load it
+stdlib("ar-test")
 assert cli.main(["critical-values", "--mc", "--paths", "100", "--reps", "100"]) == 0
 loaded("critical-values --mc")
 assert cli.main(["simulate", "--model", "iid-burr", "--lam", "1", "--gamma", "-2", "--n", "200", "--out", {out!r}]) == 0

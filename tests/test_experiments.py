@@ -114,6 +114,12 @@ def test_spec_rejects_a_label_with_a_carriage_return():
         replace(SMALL, label="size\rb")
 
 
+def test_spec_rejects_a_label_that_is_not_a_str():
+    for label, kind in ((None, "NoneType"), (5, "int"), (b"size", "bytes")):
+        with pytest.raises(TypeError, match=f"^label must be a str, got {kind}$"):
+            replace(SMALL, label=label)
+
+
 def test_mse_present_iff_change():
     no_change = run_table(SMALL)
     assert all(cell.mse_tau is None for cell in no_change.rows)

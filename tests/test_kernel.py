@@ -1,5 +1,6 @@
 import ast
 import math
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -10,12 +11,14 @@ from hypothesis import strategies as st
 
 from oracles import OracleDegenerate, tail_test_oracle
 from tailshift import kernel
+from tailshift.ar_fit import fit_ar, residual_cusum
 from tailshift.cusum import TailTestConfig, cusum_statistic, deviation_process, run_test
 from tailshift.kernel import TailGrid, tail_grid
 from tailshift.tail_core import DegenerateThresholdError, _at_k, estimate_omega, hill
-from tailshift.variates import ModelSpec, TDistParams, simulate
+from tailshift.variates import ModelSpec, TDistParams, replication_rng, simulate
 
 PAIRS = [(phi, adjust) for phi in ("indicator", "log_excess") for adjust in ("iid", "lag1")]
+CHUNK = kernel._CHUNK  # values of a long series folded at a time
 
 
 def _close(got, want):
@@ -187,23 +190,29 @@ def test_signed_input_is_folded_into_a_copy_of_its_own():
         assert x.tobytes() == signed.tobytes() and folded.tobytes() == np.abs(signed).tobytes()
 
 
-def _sorted_pool(v, kmax):
-    """The least pool, from a full sort: the positions and values at least the (kmax+1)-th largest."""
+def _sorted_pool(x, kmax):
+    """The least pool, from a full sort: the positions and absolute values at least the (kmax+1)-th largest."""
+    v = np.abs(x)
     pos = (v >= np.sort(v)[-kmax - 1]).nonzero()[0]
     return pos, v[pos]
 
 
-def _assert_sampled_selection_exact(v, ks):
-    """A long series goes through the sampled pool, and every grid equals the block row and the full sort."""
-    kmax = min(max(ks), v.size - 1)
-    assert kernel._pool(v, kmax)[0] is not None  # the series is long enough to be sampled
+def _assert_sampled_selection_exact(x, ks):
+    """A long series goes through the sampled pool, and every grid equals the block row, the full sort and
+    the grid of the series' folded copy; the pool of ``x`` is the pool of that copy."""
+    kmax = min(max(ks), x.size - 1)
+    folded = np.abs(x)
+    pos, pool = kernel._pool(x, kmax)
+    assert pos is not None  # the series is long enough to be sampled
+    assert all(a.tobytes() == b.tobytes() for a, b in zip((pos, pool), kernel._pool(folded, kmax)))
     for phi in (None, "indicator", "log_excess"):
         for adjust in ("iid", "lag1"):
-            one = tail_grid(v, ks, phi, adjust)
-            row = tail_grid(v[None], ks, phi, adjust)
+            one = tail_grid(x, ks, phi, adjust)
+            row = tail_grid(x[None], ks, phi, adjust)
             _assert_same_grids(one, TailGrid(*(None if f is None else f[0] for f in row)), (phi, adjust))
+            _assert_same_grids(one, tail_grid(folded, ks, phi, adjust), (phi, adjust, "folded"))
             with mock.patch.object(kernel, "_pool", _sorted_pool):
-                _assert_same_grids(one, tail_grid(v, ks, phi, adjust), (phi, adjust, "sort"))
+                _assert_same_grids(one, tail_grid(x, ks, phi, adjust), (phi, adjust, "sort"))
 
 
 def _guess_count(v, kmax):
@@ -226,6 +235,8 @@ def test_sampled_selection_equals_the_block_row_and_a_full_sort(kmax, extra, kin
     else:
         v = np.round(rng.pareto(size / 2.0, n), 1)
     ks = data.draw(st.lists(st.integers(1, kmax), min_size=1, max_size=4)) + [kmax]
+    if data.draw(st.booleans()):  # a signed series, read in place
+        v = np.where(rng.random(n) < 0.5, -v, v)
     _assert_sampled_selection_exact(v, ks)
 
 
@@ -238,21 +249,57 @@ def test_sampled_selection_guess_bound_suffices():
 
 def test_sampled_selection_retries_when_the_sample_meets_every_spike():
     # rising spikes at every s-th position, ties at 1 between them: the sample holds only spikes,
-    # so the guess bound is reached by g <= kmax values and the (kmax+1)-th sampled value is taken
-    n, kmax = 2**15, 50
-    s = n // (8 * (kmax + 1))
-    i = np.arange(n)
-    v = np.where(i % s == 0, 2.0 + i // s, 1.0)
-    assert _guess_count(v, kmax) <= kmax
-    assert kernel._pool(v, kmax)[1].size == kmax + 1
-    _assert_sampled_selection_exact(v, [1, 10, kmax])
+    # so the guess bound is reached by g <= kmax values and the (kmax+1)-th sampled value is taken;
+    # the second series has signed values over three chunks and one more value
+    for n, kmax, sign in ((2**15, 50, 1.0), (3 * CHUNK + 1, 100, -1.0)):
+        s = n // (8 * (kmax + 1))
+        i = np.arange(n)
+        x = np.where(i % s == 0, 2.0 + i // s, 1.0) * sign ** i
+        assert _guess_count(np.abs(x), kmax) <= kmax
+        assert kernel._pool(x, kmax)[1].size == kmax + 1
+        _assert_sampled_selection_exact(x, [1, 10, kmax])
 
 
 def test_sampled_selection_all_tied_pools_the_whole_series():
-    v = np.full(2**15, 2.0)
-    assert kernel._pool(v, 10)[0].tolist() == list(range(v.size))
-    _assert_sampled_selection_exact(v, [1, 10])
-    assert tail_grid(v, [10], "indicator").n_exceed.tolist() == [0]
+    for x in (np.full(2**15, 2.0), np.where(np.arange(2 * CHUNK + 1) % 3 == 0, -2.0, 2.0)):
+        pos, pool = kernel._pool(x, 10)
+        assert pos.tolist() == list(range(x.size)) and pool.tolist() == [2.0] * x.size
+        _assert_sampled_selection_exact(x, [1, 10])
+        assert tail_grid(x, [10], "indicator").n_exceed.tolist() == [0]
+
+
+@pytest.mark.parametrize("n", [2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 1, 3 * CHUNK - 1, 3 * CHUNK, 3 * CHUNK + 1])
+def test_chunked_pool_at_whole_chunks_and_one_either_side(n):
+    # the top values and a tie straddle the first chunk boundary and sit at both ends of the series
+    x = np.round(replication_rng(8, n).standard_t(3.0, n), 1)
+    x[[CHUNK - 2, CHUNK - 1, CHUNK, CHUNK + 1, 0, n - 1]] = [40.0, -50.0, 50.0, -40.0, -45.0, 45.0]
+    x[2 * CHUNK - 1: 2 * CHUNK + 1] = [-60.0, 30.0][: n - 2 * CHUNK + 1]  # the second boundary, where it exists
+    _assert_sampled_selection_exact(x, [1, 2, 5, 50, 300])
+
+
+@pytest.mark.parametrize("n, k", [(1000, 10), (3 * CHUNK + 1, 300)])
+@pytest.mark.parametrize("phi", ["indicator", "log_excess"])
+def test_residual_cusum_is_run_test_of_the_folded_residuals(n, k, phi):
+    x = simulate(ModelSpec("ma1", TDistParams(3.0), coef=0.5), n, seed=6)
+    assert (kernel._pool(x, k)[0] is None) == (n < CHUNK)  # the long series is read in chunks
+    for order in (1, 2):
+        residuals = fit_ar(x, order).residuals
+        assert residual_cusum(x, order, k, phi) == run_test(np.abs(residuals), TailTestConfig(k=k, phi=phi))
+
+
+def test_long_signed_series_is_read_without_a_copy():
+    # an 8 MB series: one folded copy of it alone would be 8 MB
+    x = replication_rng(9, 0).standard_t(3.0, 2**20)
+    cfg = TailTestConfig(k=1000)
+    want = run_test(np.abs(x), cfg)
+    tracemalloc.start()
+    try:
+        got = run_test(x, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 2**20, peak
 
 
 def test_short_series_and_blocks_are_not_sampled():

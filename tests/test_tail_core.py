@@ -244,6 +244,39 @@ def test_finite_values_whose_sum_overflows_pass_without_warning():
     assert caught == []
 
 
+def test_values_whose_squares_overflow_pass_without_warning():
+    # the decision reads the dot product of the series with itself: 1e200 squared overflows where the sum did not
+    x = 1e200 * replication_rng(4, 1).standard_t(3.0, 1000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isinf(np.vdot(x, x)) and np.isfinite(np.add.reduce(x))
+        assert np.shares_memory(finite_series(x), x) and np.array_equal(finite_series(x), x)
+        assert _finite_rows(np.stack([x, -x])).shape == (2, 1000)
+        assert run_test(x, TailTestConfig(k=5, phi="log_excess", adjust="lag1")).n == 1000
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_a_non_finite_value_is_named_at_the_end_of_a_long_series_and_in_a_later_row(bad):
+    x = replication_rng(5, 0).standard_t(3.0, 2**20)
+    x[-1] = bad
+    with pytest.raises(ValueError, match=f"^series contains a non-finite value at index {2**20 - 1} \\({bad!r}\\)$"):
+        finite_series(x)
+    block = replication_rng(5, 1).standard_t(3.0, (3, 500))
+    block[1, 321], block[2, 7] = bad, np.nan  # the first row that holds one is named
+    with pytest.raises(ValueError, match=f"^series contains a non-finite value at index 321 \\({bad!r}\\)$"):
+        _finite_rows(block)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_a_strided_view_is_checked_in_place(bad):
+    x = replication_rng(5, 2).standard_t(3.0, 2**16)
+    x[2 * 1000 + 1] = bad  # outside the view x[::2]
+    assert np.shares_memory(finite_series(x[::2]), x)
+    x[2 * 1000] = bad
+    with pytest.raises(ValueError, match=f"^series contains a non-finite value at index 1000 \\({bad!r}\\)$"):
+        finite_series(x[::2])
+
+
 @pytest.mark.parametrize("kind", ["complex128", "complex64", "list", "zero imaginary part"])
 @pytest.mark.parametrize("entry", [
     lambda x: run_test(x, TailTestConfig(k=5)),

@@ -6,8 +6,10 @@ fields have shape ``(K,)`` or ``(R, K)``. It selects the top ``max(k) + 1``
 values of each series and sorts only those. A long single series is read in
 place: it is cut, one fixed chunk at a time, to its values at least a bound,
 read off a strided sample, that ``max(k) + 1`` of them reach (so none is lost),
-and only those are folded into the kernel's own arrays. A short series or a
-block with a value that is not positive is folded into a copy of its own.
+and only those are folded into the kernel's own arrays; its log-excess totals
+are summed from its exceedances alone, in numpy's pairwise order of the whole
+row. A short series or a block with a value that is not positive is folded
+into a copy of its own.
 For all k at once it evaluates the thresholds (the k-th largest values), the exceedances over
 them and their log sizes (on the m values above the smallest threshold only),
 the statistic with its first maximizer, the Hill estimate over the (k+1)-th
@@ -25,6 +27,7 @@ bit each per cell (0: the test has an outcome); it imports no package module.
 """
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -224,8 +227,11 @@ def _segments(v, hits, threshold, kk, finite_alpha, phi, adjust, spare: bool) ->
     ends[..., 0, 0], ends[..., -1, 1] = 0, n
     ends[..., 1:, 0] = idx + 1
     ends[..., :-1, 1] = idx
-    if phi == "log_excess":
-        # the full-length row sum fixes the rounding of D; one array of rows is reused for every k
+    if phi == "indicator":
+        total = partial[..., -1, 0]  # an exact count
+    elif spare or n < _CHUNK:
+        # np.add.reduce of the full-length row, in numpy's pairwise order, fixes the rounding of D;
+        # one array of rows (the kernel's copy, or a short new one) is reused for every k
         row = v if spare else np.empty(v.shape)
         row.fill(0.0)
         total = np.empty(threshold.shape)
@@ -233,7 +239,9 @@ def _segments(v, hits, threshold, kk, finite_alpha, phi, adjust, spare: bool) ->
             row.reshape(-1)[hits] = values[..., j, :]
             total[..., j] = np.add.reduce(row, axis=-1)
     else:
-        total = partial[..., -1, 0]  # an exact count
+        # a long series read in place: the same sums from its exceedances alone, in the same order (this relies
+        # on np.add.reduce keeping that order, which test_pairwise_total_is_numpys_row_sum pins)
+        total = _pairwise_total(n, idx, values)
 
     # On a segment S is constant and (l / n) * total grows with l, strictly
     # unless total == 0 (rounding keeps this for n far below 2**50), so the
@@ -250,3 +258,58 @@ def _segments(v, hits, threshold, kk, finite_alpha, phi, adjust, spare: bool) ->
                 l_hat=ends.reshape(idx.shape[:-1] + (-1,))[lead + (first_max,)],
                 scale=scale(phi, adjust, finite_alpha, sums.get("omega_hat"), sums.get("chi_hat")))
     return sums
+
+
+@functools.lru_cache(maxsize=4)  # the arrays are shared: read them only
+def _pairwise_plan(n: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The leaves of numpy's pairwise summation tree over ``n`` values, for :func:`_pairwise_total`.
+
+    numpy splits a run of ``L > 128`` values after ``L // 2 - (L // 2) % 8``: in 8-value blocks, the first
+    half takes the floor of half the blocks, and the last run keeps the ``n % 8`` rest. So every node at
+    one depth has the same number of blocks to one, and at the first depth with a node of at most 16 blocks
+    each node is a leaf or splits into two leaves. Returns the ends of those ``2 ** (depth + 1)`` leaves (a
+    node that does not split is an empty leaf and itself), the leaf holding each 64th value, and the depth.
+    """
+    q, r = divmod(n, 8)
+    depth = (q // 17).bit_length()
+    turns = np.zeros(1, np.int64)  # each node's right turns, the first as the lowest bit
+    for _ in range(depth):
+        turns = np.concatenate([2 * turns, 2 * turns + 1])
+    blocks = (q + turns) >> depth  # a right turn takes the ceiling of half
+    half = (8 * blocks + r * (turns == turns[-1]) > 128) * (blocks // 2)  # the last node also holds the rest
+    ends = 8 * np.cumsum(np.stack([half, blocks - half], -1).ravel())
+    ends[-1] = n
+    return ends, np.repeat(np.arange(ends.size, dtype=np.int32), np.diff(-(-ends // 64), prepend=0)), depth
+
+
+def _pairwise_total(n: int, idx: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``np.add.reduce`` of the length-``n`` row holding ``values[..., i]`` at ``idx[i]`` (ascending) and 0
+    elsewhere, bit for bit, from the hits alone; ``values`` is ``(m,)`` or ``(K, m)``, one row each.
+
+    numpy sums a leaf in 8 lanes, one value at a time each, as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``,
+    adds the ``n % 8`` rest of the last leaf one by one, and adds the two halves of every node. A part of
+    the row without hits adds an exact 0 there, so only the leaves with hits are summed.
+    """
+    ends, leaf_at, depth = _pairwise_plan(n)
+    body = idx < n - n % 8
+    at = idx[body]
+    leaf = leaf_at[at >> 6]
+    for _ in range(2):  # a leaf holds at least 64 values: the next one, past an empty leaf at most
+        leaf += at >= ends[leaf]
+    first = np.diff(leaf, prepend=-1) != 0  # the first hit of each leaf with one
+    cell = 8 * np.cumsum(first) - 8 + (at & 7)
+    rows = np.atleast_2d(values)
+    total = np.empty(len(rows))
+    for j, row in enumerate(rows):
+        lanes = np.zeros(8 * np.count_nonzero(first))
+        np.add.at(lanes, cell, row[body])  # in the order of the hits
+        for _ in range(3):
+            lanes = lanes[::2] + lanes[1::2]
+        tree = np.zeros(ends.size)
+        tree[leaf[first]] = lanes
+        for value in row[~body]:
+            tree[-1] += value
+        for _ in range(depth + 1):
+            tree = tree[::2] + tree[1::2]
+        total[j] = tree[0]
+    return total.reshape(values.shape[:-1])

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from typing import Sequence
@@ -92,6 +93,18 @@ def _solve(cdf: float, sf: float) -> float:
     return x  # a step still cycling here is a few ulp wide; the bound only rules out a hang
 
 
+def _levels(levels) -> tuple[float, ...]:
+    """``levels`` as a non-empty tuple of floats. It must be a sequence of real numbers: a ``str`` (or ``bytes``),
+    which would be read one character at a time, or an element that is not a real number (a ``bool`` too) is a
+    ``TypeError`` naming ``levels``."""
+    items = tuple(levels) if np.iterable(levels) and not isinstance(levels, (str, bytes)) else None
+    if items is None or not all(isinstance(lv, numbers.Real) and not isinstance(lv, bool) for lv in items):
+        raise TypeError(f"levels must be a sequence of real numbers, got {levels!r}")
+    if not items:
+        raise ValueError("levels must be non-empty")
+    return tuple(float(lv) for lv in items)
+
+
 def _sup_deviation(rng: np.random.Generator, ls: np.ndarray) -> float:
     """One bridge supremum from ``ls.size`` normals of ``rng``; ``ls`` is ``1..n``."""
     n_points = ls.size
@@ -134,9 +147,7 @@ def mc_critical_values(
     sums a path. The table is identical to the serial recipe's for every core
     count and schedule.
     """
-    levels = tuple(float(lv) for lv in levels)
-    if not levels:
-        raise ValueError("levels must be non-empty")
+    levels = _levels(levels)
     if any(not 0.0 < lv < 1.0 for lv in levels):
         raise ValueError(f"levels must lie in (0, 1), got {levels}")
     n_rep = as_int(n_rep, "n_rep", 100)
@@ -170,9 +181,7 @@ def analytic_critical_values(levels: Sequence[float]) -> CriticalValueTable:
     test at significance level ``1 - q``. Exact and seed-free, unlike
     :func:`mc_critical_values`. An empty ``levels`` is a ``ValueError``.
     """
-    levels = tuple(float(lv) for lv in levels)
-    if not levels:
-        raise ValueError("levels must be non-empty")
+    levels = _levels(levels)
     return CriticalValueTable(
         levels=levels,
         values=tuple(analytic_quantile(lv) for lv in levels),

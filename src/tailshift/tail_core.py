@@ -90,6 +90,12 @@ def as_int(value, name: str, low: int | None = None) -> int:
     return value
 
 
+def require_real(name: str, value) -> None:
+    """Reject a bool or a value of a non-real type, naming the field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {value!r} of type {type(value).__name__}")
+
+
 _UNDEFINED = {  # the text of each status bit ``_at_k`` can raise for, in the order it checks them
     kernel.ZERO_FLOOR: "(k+1)-th largest value is 0 (k={k}); the mean log excess is undefined",
     kernel.ZERO_THRESHOLD: "k-th largest value is 0 (k={k}); log excesses are undefined",
@@ -149,6 +155,7 @@ def estimate_chi(x, k: int, alpha_hat: float) -> float:
     Computes the lag-1 estimator ``(2 * alpha_hat / k) * sum_i
     (log X_i - log X_(k))_+ (log X_{i+1} - log X_(k))_+``.
     """
+    require_real("alpha_hat", alpha_hat)
     if not np.isfinite(alpha_hat) or alpha_hat <= 0.0:
         raise DegenerateThresholdError(
             f"alpha_hat must be finite and positive, got {alpha_hat}"

@@ -12,13 +12,12 @@ the block of one.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .tail_core import _finite_rows, as_int
+from .tail_core import _finite_rows, as_int, require_real
 
 __all__ = [
     "AR_BURNIN",
@@ -40,15 +39,9 @@ AR_BURNIN = 1000
 _MIN_UNIFORM = 1e-300
 
 
-def _require_real(name: str, value) -> None:
-    """Reject a bool or a value of a non-real type, naming the field."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise TypeError(f"{name} must be a real number, got {value!r} of type {type(value).__name__}")
-
-
 def _require(name: str, value, sign: int) -> None:
     """Reject a parameter that is not a finite real of sign ``sign`` (1 or -1), naming the field."""
-    _require_real(name, value)
+    require_real(name, value)
     if not (sign * value > 0 and math.isfinite(value)):
         raise ValueError(f"{name} must be finite and {'positive' if sign > 0 else 'negative'}, got {value}")
 
@@ -152,7 +145,7 @@ class ModelSpec:
         else:
             if self.coef is None:
                 raise ValueError(f"{self.kind} model requires a coefficient")
-            _require_real("coef", self.coef)
+            require_real("coef", self.coef)
             if not math.isfinite(self.coef):
                 raise ValueError(f"coef must be finite, got {self.coef}")
             if self.kind == "ar1" and not abs(self.coef) < 1:
@@ -171,7 +164,7 @@ class ChangeSpec:
     post: InnovationParams
 
     def __post_init__(self):
-        _require_real("tau", self.tau)
+        require_real("tau", self.tau)
         if not 0.0 < self.tau < 1.0:
             raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
         _require_law("pre", self.pre)

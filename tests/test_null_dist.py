@@ -230,6 +230,21 @@ def test_mc_validation():
         simulate_L(10.0, seed=1)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: analytic_critical_values("0.95"),  # each character would be read as a level
+    lambda: mc_critical_values("0.95", 100, 100, 1),
+    lambda: analytic_critical_values(b"0.95"),
+    lambda: analytic_critical_values(["0.95"]),
+    lambda: mc_critical_values(["0.95"], 100, 100, 1),  # a str element would be read as its float
+    lambda: analytic_critical_values([0.9, "0.95"]),
+    lambda: mc_critical_values([True], 100, 100, 1),
+    lambda: analytic_critical_values(0.95),
+])
+def test_levels_must_be_a_sequence_of_reals(call):
+    with pytest.raises(TypeError, match="^levels must be a sequence of real numbers, got "):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # table rendering
 # ---------------------------------------------------------------------------

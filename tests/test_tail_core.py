@@ -195,6 +195,14 @@ def test_chi_requires_finite_alpha():
         estimate_chi([5, 1, 2, 3], 2, 0.0)
 
 
+@pytest.mark.parametrize("alpha_hat, kind", [(True, "bool"), (False, "bool"), ("2", "str"), (None, "NoneType"),
+                                             (2 + 0j, "complex")])
+def test_chi_rejects_an_alpha_hat_that_is_not_real(alpha_hat, kind):
+    # True would be read as 1 and give a number; a str reached numpy's unnamed isfinite error
+    with pytest.raises(TypeError, match=f"^alpha_hat must be a real number, got .* of type {kind}$"):
+        estimate_chi([5, 1, 2, 3, 4, 1], 2, alpha_hat)
+
+
 def test_omega_chi_lag_extension():
     # excesses at positions 0 and 2: a lag-2 pair, which the lag-1 estimators ignore
     x = [9.0, 1.0, 8.0, 1.0, 1.0, 1.0]

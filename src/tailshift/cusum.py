@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel, null_dist
-from .tail_core import _at_k, as_int
+from .tail_core import _at_k, as_int, require_real
 
 __all__ = [
     "PHI_KINDS",
@@ -56,6 +56,7 @@ class TailTestConfig:
         _check_phi(self.phi)
         if self.adjust not in ADJUST_MODES:
             raise ValueError(f"adjust must be one of {ADJUST_MODES}, got {self.adjust!r}")
+        require_real("level", self.level)
         if not 0.0 < self.level < 1.0:
             raise ValueError(f"level must lie in (0, 1), got {self.level}")
         # a subnormal level has too few digits for its critical value (the smallest cannot be solved at all)
@@ -111,7 +112,7 @@ def deviation_process(x, k: int, phi: str = "indicator") -> np.ndarray:
     # the running sums of the kernel's transformed exceedances, held from each one to the next
     values = kernel.excess_sizes(v[hits], t)[0] if phi == "log_excess" else np.ones(hits.size)
     running = np.repeat(np.concatenate([[0.0], np.cumsum(values)]), np.diff(hits, prepend=0, append=v.size))
-    return kernel.deviation(running, np.arange(1, v.size + 1), v.size, grid.total[0])
+    return kernel.deviation(running, np.arange(1, v.size + 1) / v.size, grid.total[0])
 
 
 def cusum_statistic(x, k: int, phi: str = "indicator") -> tuple[float, int]:

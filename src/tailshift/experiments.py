@@ -32,8 +32,9 @@ from .variates import (
     ChangeSpec,
     ModelSpec,
     TDistParams,
+    _require_change,
     _simulate_rows,
-    replication_rng,
+    _streams,
 )
 
 __all__ = [
@@ -75,8 +76,7 @@ class SimulationSpec:
     def __post_init__(self):
         if not isinstance(self.model, ModelSpec):
             raise TypeError(f"model must be a ModelSpec, got {type(self.model).__name__}")
-        if not isinstance(self.change, (ChangeSpec, type(None))):
-            raise TypeError(f"change must be a ChangeSpec or None, got {type(self.change).__name__}")
+        _require_change(self.change)
         for name, low in (("n", 4), ("replications", 1), ("seed", 0)):
             object.__setattr__(self, name, as_int(getattr(self, name), name, low))
         # each k, phi, adjust and level is checked as for a single test
@@ -136,7 +136,7 @@ def run_table(spec: SimulationSpec) -> TableResult:
     critical = _solve(1.0 - spec.level, spec.level)
 
     for start in range(0, spec.replications, _BLOCK):
-        rngs = [replication_rng(spec.seed, r) for r in range(start, min(start + _BLOCK, spec.replications))]
+        rngs = _streams(spec.seed, start, min(start + _BLOCK, spec.replications))
         block = _simulate_rows(spec.model, spec.n, rngs, spec.change)
         if spec.test == "ar_residual":
             _, residuals, unfit = _fit_rows(block, spec.ar_order, spec.ar_method)
@@ -178,6 +178,9 @@ def sweep(specs) -> list[TableResult]:
     specs = list(specs)
     if not specs:
         raise ValueError("sweep requires at least one spec")
+    for i, spec in enumerate(specs):  # before any spec runs: a spec's error is its own degeneracy, never a bug
+        if not isinstance(spec, SimulationSpec):
+            raise TypeError(f"specs[{i}] must be a SimulationSpec, got {type(spec).__name__}")
     results = []
     for spec in specs:
         try:

@@ -99,13 +99,14 @@ def excess_sizes(top: np.ndarray, threshold: np.ndarray) -> np.ndarray:
     return np.log(np.maximum(top, t) / t)
 
 
-def deviation(running, ls, n: int, total):
-    """``D(l) = S(l) - (l / n) * total`` at the positions ``ls``, given the running sums ``S(l)`` there.
+def deviation(running, share, total, out=None):
+    """``D(l) = S(l) - (l / n) * total`` at the positions ``l`` whose shares ``l / n`` are ``share``, given the
+    running sums ``S(l)`` there.
 
     The one formula of the deviation process, for its segment ends and its full
-    path alike; ``ls / n * total`` has the shape of ``running``, and holds the result.
+    path alike; ``share * total`` has the shape of ``running``, and holds the result, in ``out`` if given.
     """
-    d = ls / n * total
+    d = np.multiply(share, total, out=out)
     return np.subtract(running, d, out=d)
 
 
@@ -249,7 +250,7 @@ def _segments(v, hits, threshold, kk, finite_alpha, phi, adjust, spare: bool) ->
     # ends. The first segment is read from l = 0 (D = 0) in place of l = 1: on
     # it |D(l)| = (l / n) * total, and where the first value exceeds it is empty.
     # Only D == 0 everywhere then puts the first maximum at l = 0, reported as l = 1.
-    abs_d = np.abs(deviation(partial, ends[..., None, :, :], n, total[..., None, None])).reshape(
+    abs_d = np.abs(deviation(partial, ends[..., None, :, :] / n, total[..., None, None])).reshape(
         threshold.shape + (-1,))
     first_max = abs_d.argmax(axis=-1)
     ends[..., 0, 0] = 1

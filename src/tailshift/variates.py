@@ -67,6 +67,66 @@ def replication_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
+# numpy's SeedSequence (numpy/random/bit_generator.pyx): the pool's and the output's hash multipliers, and mix's
+_INIT_A, _MULT_A, _INIT_B, _MULT_B, _MIX_L, _MIX_R = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED, 0xCA01F9DD, 0x4973F715
+
+
+def _stream_keys(seed: int, start: int, stop: int) -> np.ndarray:
+    """The Philox keys ``SeedSequence((seed, r)).generate_state(2, np.uint64)`` of the rows ``r`` in ``start..stop-1``.
+
+    numpy's mixing, in uint32 array arithmetic over the rows. A row's entropy is the little-endian 32-bit words of
+    ``seed``, then of ``r`` (one word 0 for 0). The first 4 words, 0 where a row has fewer, are hashed into a pool of 4,
+    every pool word is mixed into every other, and each further word into every pool word. The pool is hashed out into
+    4 state words, read as 2 little-endian uint64. A row's missing words are its last ones, so the hash constants, one
+    per ``hashmix``, are the same for every row."""
+    r = np.arange(start, stop, dtype=object)
+    # (value, shift, the rows that have the word): every row has each word of seed, and word s of r where r >= 2**s
+    words = [(seed, s, True) for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [(r, s, s == 0 or r >> s > 0) for s in range(0, max(stop - 1, 1).bit_length(), 32)]
+    entropy = [np.full(r.shape, (value >> s) % 2**32, np.uint32) for value, s, _ in words]
+    entropy += [np.zeros(r.shape, np.uint32)] * (4 - len(entropy))
+
+    def hashmix(value, consts, j, m):  # hashes j..j+m-1 of the column consts, one per row of value
+        value = (value ^ consts[j:j + m]) * consts[j + 1:j + m + 1]
+        return value ^ value >> 16
+
+    def mix(x, y):
+        return (z := _MIX_L * x - _MIX_R * y) ^ z >> 16
+
+    # the successive hash constants: each is the last times the multiplier (uint32 products wrap, as in numpy)
+    hash_a = (_INIT_A * np.cumprod([1] + [_MULT_A] * (16 + 4 * len(words[4:])), dtype=np.uint32))[:, None]
+    pool = hashmix(np.stack(entropy[:4]), hash_a, 0, 4)
+    # each other pool word reads pool[src] and itself, so the three are one step
+    for src, dst in enumerate(([1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2])):
+        pool[dst] = mix(pool[dst], hashmix(pool[src], hash_a, 4 + 3 * src, 3))
+    for i, (word, (_, _, has)) in enumerate(zip(entropy[4:], words[4:])):
+        pool = np.where(has, mix(pool, hashmix(word, hash_a, 16 + 4 * i, 4)), pool)
+    hash_b = (_INIT_B * np.cumprod([1] + [_MULT_B] * 4, dtype=np.uint32))[:, None]
+    # as numpy: the 4 state words of a row viewed as 2 little-endian uint64, then made native
+    return hashmix(pool, hash_b, 0, 4).T.astype("<u4", order="C").view("<u8").astype(np.uint64)
+
+
+class _streams:
+    """The generators of the rows ``r`` in ``start..stop-1``, each ``replication_rng(seed, r)`` bit for bit.
+
+    Iterating yields one ``Generator(Philox)``, re-keyed for each row in turn from :func:`_stream_keys` by
+    assigning its whole state: that of a fresh Philox (counter 0, ``buffer_pos`` 4, ``has_uint32`` 0) with the
+    row's key. ``len`` is the row count."""
+
+    def __init__(self, seed: int, start: int, stop: int):
+        self.keys = _stream_keys(seed, start, stop)
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __iter__(self):
+        rng = np.random.Generator(np.random.Philox(0))
+        fresh = rng.bit_generator.state
+        for key in self.keys:
+            rng.bit_generator.state = fresh | {"state": {"counter": fresh["state"]["counter"], "key": key}}
+            yield rng
+
+
 @dataclass(frozen=True)
 class BurrParams:
     """Burr law with survival function ``(beta / (beta + x**(-gamma)))**lam``.
@@ -171,6 +231,12 @@ class ChangeSpec:
         _require_law("post", self.post)
 
 
+def _require_change(change) -> None:
+    """Reject a ``change`` that is neither a ``ChangeSpec`` nor None, naming the field."""
+    if not isinstance(change, (ChangeSpec, type(None))):
+        raise TypeError(f"change must be a ChangeSpec or None, got {type(change).__name__}")
+
+
 def burr_quantile(u, params: BurrParams):
     """Value ``x`` whose survival probability is ``u``, i.e. ``sf(x) = u``.
 
@@ -196,6 +262,7 @@ def simulate(model: ModelSpec, n: int, seed=None, change: ChangeSpec | None = No
     so a given ``(model, n, seed, change)`` always yields the same path.
     A path that overflows is a ``ValueError`` naming the model and its laws.
     """
+    _require_change(change)
     return _simulate_rows(model, as_int(n, "n", 1), [as_generator(seed)], change)[0]
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -282,6 +283,19 @@ def test_config_rejects_non_integer_k(k):
 def test_config_rejects_bad_adjust_and_level(field, value, message):
     with pytest.raises(ValueError, match=message):
         TailTestConfig(k=2, **{field: value})
+
+
+@pytest.mark.parametrize("call, got", [
+    pytest.param(lambda: TailTestConfig(k=5, level="0.05"), "'0.05' of type str", id="config-str"),
+    pytest.param(lambda: TailTestConfig(k=5, level=None), "None of type NoneType", id="config-none"),
+    pytest.param(lambda: TailTestConfig(k=5, level=True), "True of type bool", id="config-bool"),  # was the range text
+    pytest.param(lambda: SimulationSpec(model=ModelSpec("iid", BurrParams.from_alpha(2.0, -1.0)), n=100,
+                                        k_grid=(10,), level="0.05"), "'0.05' of type str", id="spec-str"),
+    pytest.param(lambda: null_dist.analytic_quantile("0.95"), "'0.95' of type str", id="analytic-quantile-str"),
+])
+def test_a_level_that_is_not_a_real_number_is_named(call, got):
+    with pytest.raises(TypeError, match=f"^level must be a real number, got {re.escape(got)}$"):
+        call()
 
 
 @pytest.mark.parametrize("level", [1e-17, 1e-300, 2.0**-54])

@@ -166,6 +166,19 @@ def test_replication_errors_are_counted_not_raised(monkeypatch):
     assert [cell.error_count for cell in run_table(spec).rows] == [0, 4, 4]
 
 
+@pytest.mark.parametrize("specs, position, kind", [
+    pytest.param([1], 0, "int", id="int"),
+    pytest.param([SMALL, "spec"], 1, "str", id="str-second"),
+    pytest.param([SMALL, SMALL, None], 2, "NoneType", id="none-last"),
+])
+def test_sweep_rejects_a_non_spec_before_running_any(specs, position, kind, monkeypatch):
+    ran = []
+    monkeypatch.setattr(experiments, "run_table", ran.append)
+    with pytest.raises(TypeError, match=rf"^specs\[{position}\] must be a SimulationSpec, got {kind}$"):
+        sweep(specs)
+    assert ran == []
+
+
 def test_sweep_isolates_failing_specs(monkeypatch):
     with pytest.raises(TypeError, match="^innovation must be a BurrParams or TDistParams"):
         ModelSpec("iid", "not-params")

@@ -199,13 +199,16 @@ def test_mc_worker_exception_reaches_the_caller(monkeypatch):
     class Boom(RuntimeError):
         pass
 
-    def failing_rng(seed, r):
-        if r == 150:
-            raise Boom(f"replicate {r}")
-        return replication_rng(seed, r)
+    real_streams = null_dist._streams
+
+    def failing_streams(seed, start, stop):
+        for r, rng in zip(range(start, stop), real_streams(seed, start, stop)):
+            if r == 150:
+                raise Boom(f"replicate {r}")
+            yield rng
 
     monkeypatch.setattr(null_dist, "_worker_count", lambda: 2)
-    monkeypatch.setattr(null_dist, "replication_rng", failing_rng)
+    monkeypatch.setattr(null_dist, "_streams", failing_streams)
     with pytest.raises(Boom, match="^replicate 150$"):
         mc_critical_values(STANDARD_LEVELS, n_points=50, n_rep=200, seed=1)
 

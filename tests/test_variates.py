@@ -16,6 +16,8 @@ from tailshift.variates import (
     ModelSpec,
     TDistParams,
     _simulate_rows,
+    _stream_keys,
+    _streams,
     burr_quantile,
     replication_rng,
     simulate,
@@ -262,6 +264,51 @@ def test_block_rows_are_their_generators_paths(kind, coef, pre, post, tau, n, ro
         assert block[r].tobytes() == simulate(model, n, replication_rng(seed, r), change).tobytes()
 
 
+# seeds and first indices whose 32-bit words reach or pass the 4-word pool; a run from 2**32 - 3 straddles 2**32
+SEEDS = st.sampled_from([0, 2**32 - 1, 2**32, 2**64, 2**96 + 5, 2**200]) | st.integers(0, 2**160)
+STARTS = st.sampled_from([0, 2**32 - 3, 2**64 - 3, 2**96 - 3]) | st.integers(0, 2**100)
+
+
+@settings(max_examples=150)
+@given(SEEDS, STARTS, st.integers(0, 7))
+@example(2**200, 2**32 - 3, 6)  # 7 seed words, then rows of 1 and of 2 index words
+@example(2**96 + 5, 2**64 - 3, 6)  # 4 seed words: rows of 2 and of 3 index words, all beyond the pool
+def test_stream_keys_are_numpys_seed_sequence(seed, start, rows):
+    keys = _stream_keys(seed, start, start + rows)
+    want = [np.random.SeedSequence((seed, r)).generate_state(2, np.uint64) for r in range(start, start + rows)]
+    assert keys.dtype == np.uint64 and keys.shape == (rows, 2)
+    assert keys.tobytes() == np.array(want, dtype=np.uint64).reshape(rows, 2).tobytes()
+
+
+@settings(max_examples=40)
+@given(SEEDS, STARTS, st.integers(0, 5))
+@example(7, 2**32 - 3, 5)
+def test_stream_rows_draw_as_their_replication_rngs(seed, start, rows):
+    streams = _streams(seed, start, start + rows)
+    assert len(streams) == rows
+    drawn = 0
+    for r, rng in zip(range(start, start + rows), streams):
+        want = replication_rng(seed, r)
+        # a uniform leaves a buffered Philox word, a uint32 half a word: the next row must start afresh
+        for draw in (lambda g: g.random(3), lambda g: g.standard_normal(5), lambda g: g.chisquare(2.5, 4),
+                     lambda g: g.integers(0, 10, 3, dtype=np.uint32)):
+            assert draw(rng).tobytes() == draw(want).tobytes()
+        drawn += 1
+    assert drawn == rows
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(["iid", "ma1", "ar1"]), st.floats(-0.999, 0.999), LAWS, LAWS,
+       st.none() | st.floats(0.01, 0.99), st.integers(1, 40), st.integers(1, 4), SEEDS, STARTS)
+@example("ar1", 0.5, T3, BURR_A2, 0.5, 5, 4, 3, 2**32 - 2)
+def test_block_over_streams_is_the_block_over_replication_rngs(kind, coef, pre, post, tau, n, rows, seed, start):
+    model = ModelSpec(kind, pre, None if kind == "iid" else coef)
+    change = None if tau is None else ChangeSpec(tau, pre, post)
+    rngs = [replication_rng(seed, r) for r in range(start, start + rows)]
+    block = _simulate_rows(model, n, _streams(seed, start, start + rows), change)
+    assert block.tobytes() == _simulate_rows(model, n, rngs, change).tobytes()
+
+
 def test_simulate_deterministic():
     spec = ModelSpec("ar1", T3, coef=0.9)
     change = ChangeSpec(0.5, TDistParams(3.0), TDistParams(1.0))
@@ -303,6 +350,12 @@ def test_simulate_validation():
         simulate(ModelSpec("iid", T3), 5, seed=-1)
     with pytest.raises(TypeError, match="^n must be an integer"):
         simulate(ModelSpec("iid", T3), 5.0, seed=1)
+
+
+@pytest.mark.parametrize("change", [0.5, "0.5", T3])
+def test_simulate_rejects_a_change_that_is_not_a_change_spec(change):
+    with pytest.raises(TypeError, match=f"^change must be a ChangeSpec or None, got {type(change).__name__}$"):
+        simulate(ModelSpec("iid", T3), 10, 1, change=change)
 
 
 @pytest.mark.parametrize("action", ["error", "ignore"])

@@ -130,6 +130,8 @@ def run_test(x, cfg: TailTestConfig) -> TestOutcome:
     ``1 - level``, solved at ``level`` itself so that no digit of a small level
     is lost, and the test rejects when ``scale * statistic`` reaches it.
     """
+    if not isinstance(cfg, TailTestConfig):
+        raise TypeError(f"cfg must be a TailTestConfig, got {type(cfg).__name__}")
     v, grid = _at_k(x, cfg.k, cfg.phi, cfg.adjust, kernel.TOO_SHORT | kernel.ZERO_FLOOR | kernel.INFINITE_ALPHA)
     n = v.size
     omega_hat = chi_hat = None

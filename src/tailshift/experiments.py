@@ -26,7 +26,7 @@ from .ar_fit import _fit_rows, check_fit_args
 from .cusum import TailTestConfig
 from .kernel import tail_grid
 from .null_dist import _delimited, _null_nonfinite, _solve
-from .tail_core import _finite_rows, as_int
+from .tail_core import as_int
 from .variates import (
     BurrParams,
     ChangeSpec,
@@ -79,6 +79,8 @@ class SimulationSpec:
         _require_change(self.change)
         for name, low in (("n", 4), ("replications", 1), ("seed", 0)):
             object.__setattr__(self, name, as_int(getattr(self, name), name, low))
+        if isinstance(self.k_grid, (str, bytes)) or not np.iterable(self.k_grid):
+            raise TypeError(f"k_grid must be a sequence of integers, got {self.k_grid!r}")
         # each k, phi, adjust and level is checked as for a single test
         tests = [TailTestConfig(k=k, phi=self.phi, adjust=self.adjust, level=self.level) for k in self.k_grid]
         object.__setattr__(self, "k_grid", tuple(test.k for test in tests))
@@ -140,8 +142,8 @@ def run_table(spec: SimulationSpec) -> TableResult:
         block = _simulate_rows(spec.model, spec.n, rngs, spec.change)
         if spec.test == "ar_residual":
             _, residuals, unfit = _fit_rows(block, spec.ar_order, spec.ar_method)
-            # a row without a fit is an error at every k; the paths are finite, but a residual can still overflow
-            block = _finite_rows(np.delete(residuals, list(unfit), axis=0))
+            # a row without a fit is an error at every k; a residual that overflows is the kernel's error
+            block = np.delete(residuals, list(unfit), axis=0)
             if not len(block):
                 continue
         grid = tail_grid(block, ks, spec.phi, spec.adjust)

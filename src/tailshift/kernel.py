@@ -4,12 +4,15 @@
 ``(R, n)``, whose absolute values it reads, and an integer grid ``ks``; its
 fields have shape ``(K,)`` or ``(R, K)``. It selects the top ``max(k) + 1``
 values of each series and sorts only those. A long single series is read in
-place: it is cut, one fixed chunk at a time, to its values at least a bound,
-read off a strided sample, that ``max(k) + 1`` of them reach (so none is lost),
-and only those are folded into the kernel's own arrays; its log-excess totals
-are summed from its exceedances alone, in numpy's pairwise order of the whole
-row. A short series or a block with a value that is not positive is folded
-into a copy of its own.
+place: it is cut, one fixed chunk at a time, to its values not strictly inside
+``(-c, c)`` for a bound ``c``, read off a sample of ``max(k) + 1`` runs of 8
+contiguous values, that ``max(k) + 1`` of them reach (so none is lost), and
+only those are folded into the kernel's own arrays; its log-excess totals are
+summed from its exceedances alone, in numpy's pairwise order of the whole row.
+A short series or a block with a value that is not positive is folded into a
+copy of its own. Every NaN and infinite value is in what is sorted, and NaN
+sorts last, so the kernel rejects non-finite input from its sorted top alone,
+without a pass of its own.
 For all k at once it evaluates the thresholds (the k-th largest values), the exceedances over
 them and their log sizes (on the m values above the smallest threshold only),
 the statistic with its first maximizer, the Hill estimate over the (k+1)-th
@@ -36,7 +39,7 @@ TOO_SHORT = 1  # n < max(4, k + 2): too few values for the change test
 ZERO_FLOOR = 2  # the (k+1)-th largest value is 0: Hill and alpha_hat are undefined
 ZERO_THRESHOLD = 4  # the k-th largest value is 0: log excesses are undefined (ZERO_FLOOR holds too)
 INFINITE_ALPHA = 8  # alpha_hat is infinite; flagged only under log_excess, whose scaling reads it
-_CHUNK = 2**15  # values of a long series folded at a time by _pool (256 KB, within a core's cache)
+_CHUNK = 2**15  # values of a long series scanned at a time by _pool (256 KB, within a core's cache)
 
 
 class TailGrid(NamedTuple):
@@ -113,8 +116,9 @@ def deviation(running, share, total, out=None):
 def tail_grid(x: np.ndarray, ks, phi: str | None = None, adjust: str = "iid") -> TailGrid:
     """Evaluate the tail quantities at every ``k`` of ``ks`` at once.
 
-    ``x`` is a finite float series of length ``n >= 2``, or a block of such
-    series of shape ``(R, n)``, whose absolute values are used; every ``k`` is
+    ``x`` is a float series of length ``n >= 2``, or a block of such series of
+    shape ``(R, n)``, whose absolute values are used; a NaN or infinite value is
+    a ValueError naming its index (:func:`reject_non_finite`). Every ``k`` is
     at least 1. Hill is always evaluated; the statistic and scaling only when
     ``phi`` names a transform; the lag-1 inflations only when ``adjust ==
     "lag1"``. A column with ``k > n - 1`` is evaluated at ``n - 1`` and flagged
@@ -132,6 +136,9 @@ def tail_grid(x: np.ndarray, ks, phi: str | None = None, adjust: str = "iid") ->
         positive = np.minimum.reduce(x[..., :64], axis=None, initial=np.inf) > 0.0  # one in the first 64 spares a pass
         v = pool = x if positive and np.minimum.reduce(x, axis=None, initial=np.inf) > 0.0 else np.abs(x)
     srt = np.sort(np.partition(pool, -kmax - 1)[..., -kmax - 1:])[..., ::-1]
+    # NaN sorts last and the pool holds every NaN and infinite value: a row is finite exactly when its top is
+    if not np.isfinite(srt[..., 0]).all():
+        reject_non_finite(np.atleast_2d(x))
     threshold = srt.take(kk - 1, axis=-1)
 
     # Hill over the (k+1)-th largest value from the sorted top k: tied order
@@ -176,23 +183,34 @@ def tail_grid(x: np.ndarray, ks, phi: str | None = None, adjust: str = "iid") ->
     return TailGrid(**out, **sums)
 
 
-def _pool(x: np.ndarray, kmax: int) -> tuple[np.ndarray | None, np.ndarray]:
-    """Positions (ascending) and absolute values of the part of ``x`` that holds the top ``kmax + 1`` of ``|x|``.
+def reject_non_finite(rows: np.ndarray) -> None:
+    """Raise a ValueError for the first NaN or infinite value of the first of ``rows`` (``(R, n)``) that holds
+    one, naming its index in that row; return if there is none."""
+    if (bad := np.argwhere(~np.isfinite(rows))).size:
+        r, i = bad[0]
+        raise ValueError(f"series contains a non-finite value at index {i} ({float(rows[r, i])!r})")
 
-    Shorter series and blocks give ``(None, x)``: all of ``x``, unfolded. A long series keeps its values at
-    least the g-th largest of the folded sample ``|x[::s]|`` (a guess at the 2(kmax+1)-th largest of ``|x|``)
-    if kmax + 1 of them reach it, else at least the sample's (kmax+1)-th. It is read in chunks of
-    ``_CHUNK`` values, each folded into one reused buffer, so ``|x|`` is never held whole.
+
+def _pool(x: np.ndarray, kmax: int) -> tuple[np.ndarray | None, np.ndarray]:
+    """Positions (ascending) and absolute values of the part of ``x`` that holds the top ``kmax + 1`` of ``|x|``
+    and every NaN and infinite value.
+
+    Shorter series and blocks give ``(None, x)``: all of ``x``, unfolded. A long series is sampled in
+    ``kmax + 1`` evenly spaced runs of 8 contiguous values (one cache line each). It keeps its values at least
+    the g-th largest of the folded sample (a guess at the 2(kmax+1)-th largest of ``|x|``) if kmax + 1 of them
+    reach it, else at least the sample's (kmax+1)-th. It is scanned in chunks of ``_CHUNK`` values for the
+    values not strictly inside ``(-c, c)``: those with ``|x| >= c``, and every NaN and infinite value for any
+    bound ``c``. No folded copy of ``x`` is made.
     """
     n = x.shape[-1]
     s = n // (8 * (kmax + 1))
     if s < 16 or n < 2**15 or x.ndim > 1:
         return None, x
     g = 2 * (kmax + 1) // s + 1
-    top = np.partition(np.abs(x[::s]), -kmax - 1)[-kmax - 1:]  # the sample's kmax + 1 largest, the least first
-    buf = np.empty(_CHUNK)
+    # the sample's kmax + 1 largest, the least first
+    top = np.partition(np.abs(x[:n - n % (kmax + 1)].reshape(kmax + 1, -1)[:, :8]), -kmax - 1, None)[-kmax - 1:]
     for c in (np.partition(top, -g)[-g], top[0]):
-        pos = np.concatenate([(np.abs(x[a:a + _CHUNK], out=buf[:n - a]) >= c).nonzero()[0] + a
+        pos = np.concatenate([(~((x[a:a + _CHUNK] < c) & (x[a:a + _CHUNK] > -c))).nonzero()[0] + a
                               for a in range(0, n, _CHUNK)])
         if pos.size > kmax:
             return pos, np.abs(x.take(pos))

@@ -4,7 +4,10 @@ The estimators here, and the single-k tests of :mod:`tailshift.cusum`, reach
 the tail kernel (:mod:`tailshift.kernel`), the single implementation of their
 formulas and the only sort, through one entry, ``_at_k``: it views the
 series, checks ``k``, evaluates a one-element k grid and raises for the
-status bits of the degeneracies the caller's statistic cannot evaluate.
+status bits of the degeneracies the caller's statistic cannot evaluate. The
+kernel rejects a NaN or infinite value from its own scan and sort, so the test
+path reads the series once; ``finite_series``, which the AR fit calls, decides
+with one dot product instead.
 
 All operations act on the absolute values of the data, so signed series such
 as regression residuals are handled transparently. Thresholds are order
@@ -47,18 +50,21 @@ class HillEstimate:
     k: int
 
 
-def finite_series(x) -> np.ndarray:
-    """``x`` as a 1-d float array; NaN and infinite values are rejected with the index of the first one.
-
-    A float64 array is viewed, not copied. A complex series is rejected with its dtype: the conversion
-    to float would drop its imaginary part.
-    """
-    if np.iscomplexobj(x):
-        raise TypeError(f"expected a real series, got dtype {np.asarray(x).dtype}")
+def _real_series(x) -> np.ndarray:
+    """``x`` as a 1-d float array, viewed, not copied, if it is a float64 array. A complex or bool series is
+    rejected with its dtype: the conversion to float would drop an imaginary part or read truth values as
+    0 and 1."""
+    if (dtype := np.asarray(x).dtype).kind in "bc":
+        raise TypeError(f"expected a real series, got dtype {dtype}")
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"expected a 1-d series, got shape {v.shape}")
-    return _finite_rows(v[None])[0]
+    return v
+
+
+def finite_series(x) -> np.ndarray:
+    """:func:`_real_series` of ``x``; NaN and infinite values are rejected with the index of the first one."""
+    return _finite_rows(_real_series(x)[None])[0]
 
 
 def _finite_rows(v: np.ndarray) -> np.ndarray:
@@ -66,11 +72,10 @@ def _finite_rows(v: np.ndarray) -> np.ndarray:
 
     One dot product of the block with itself decides (BLAS, which reads a contiguous block in place and sets
     no floating-point warning): only when it is not finite (a bad value, or finite values whose squares
-    overflow it) is the block searched.
+    overflow it) is the block searched, by the kernel's rule.
     """
-    if not np.vdot(v, v) < np.inf and (bad := np.argwhere(~np.isfinite(v))).size:
-        r, i = bad[0]  # the first series that holds one, and its first
-        raise ValueError(f"series contains a non-finite value at index {i} ({float(v[r, i])!r})")
+    if not np.vdot(v, v) < np.inf:
+        kernel.reject_non_finite(v)
     return v
 
 
@@ -105,19 +110,25 @@ _UNDEFINED = {  # the text of each status bit ``_at_k`` can raise for, in the or
 
 def _at_k(x, k: int, phi: str | None = None, adjust: str = "iid",
           needs: int = 0) -> tuple[np.ndarray, kernel.TailGrid]:
-    """``x`` as a finite 1-d float array and the one-element kernel grid of its absolute values at ``k``.
+    """``x`` as a 1-d float array and the one-element kernel grid of its absolute values at ``k``.
 
     ``k`` must be an integer with ``1 <= k <= n - 1``; with ``TOO_SHORT`` in the
     status bits ``needs``, the series must instead hold the ``max(4, k + 2)``
     values the change test needs, and any other bit of ``needs`` the cell holds raises.
+    The kernel rejects a NaN or infinite value from its own scan and sort; only for a bad ``k``
+    is the series checked here, so that a non-finite value is named first.
     """
-    v = finite_series(x)
+    v = _real_series(x)
     n = v.size
-    if needs & kernel.TOO_SHORT:
-        if n < max(4, k + 2):
-            raise ValueError(f"need n >= max(4, k + 2) = {max(4, k + 2)}, got n = {n}")
-    elif not 1 <= as_int(k, "k") <= n - 1:
-        raise ValueError(f"k must satisfy 1 <= k <= n - 1 = {n - 1}, got {k}")
+    try:
+        if needs & kernel.TOO_SHORT:
+            if n < max(4, k + 2):
+                raise ValueError(f"need n >= max(4, k + 2) = {max(4, k + 2)}, got n = {n}")
+        elif not 1 <= as_int(k, "k") <= n - 1:
+            raise ValueError(f"k must satisfy 1 <= k <= n - 1 = {n - 1}, got {k}")
+    except (TypeError, ValueError):
+        kernel.reject_non_finite(v[None])
+        raise
     grid = kernel.tail_grid(v, [k], phi, adjust)
     for bit, text in _UNDEFINED.items():
         if needs & bit & grid.status[0]:

@@ -298,6 +298,27 @@ def test_a_level_that_is_not_a_real_number_is_named(call, got):
         call()
 
 
+_BURR = ModelSpec("iid", BurrParams.from_alpha(2.0, -1.0))
+_FLIPS = replication_rng(3, 0).random(60) < 0.5
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: run_test(HAND * 5, {"k": 5}), "cfg must be a TailTestConfig, got dict", id="cfg-dict"),
+    pytest.param(lambda: SimulationSpec(model=_BURR, n=100, k_grid=10),
+                 "k_grid must be a sequence of integers, got 10", id="k_grid-int"),
+    pytest.param(lambda: SimulationSpec(model=_BURR, n=100, k_grid="10"),
+                 "k_grid must be a sequence of integers, got '10'", id="k_grid-str"),
+    # a bool series is rejected as a complex one is, rather than read as 0 and 1
+    pytest.param(lambda: run_test(_FLIPS, TailTestConfig(k=5)), "expected a real series, got dtype bool",
+                 id="run_test-bool"),
+    pytest.param(lambda: hill(_FLIPS.tolist(), 5), "expected a real series, got dtype bool", id="hill-bool-list"),
+    pytest.param(lambda: fit_ar(_FLIPS, 1), "expected a real series, got dtype bool", id="fit_ar-bool"),
+])
+def test_a_bad_argument_is_a_type_error_naming_it(call, message):
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 @pytest.mark.parametrize("level", [1e-17, 1e-300, 2.0**-54])
 def test_a_level_whose_complement_rounds_to_one_is_named(level, monkeypatch):
     # 1 - level == 1.0, yet the critical value is solved at the level itself: scipy's survival

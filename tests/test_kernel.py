@@ -18,7 +18,7 @@ from tailshift.tail_core import DegenerateThresholdError, _at_k, estimate_omega,
 from tailshift.variates import ModelSpec, TDistParams, replication_rng, simulate
 
 PAIRS = [(phi, adjust) for phi in ("indicator", "log_excess") for adjust in ("iid", "lag1")]
-CHUNK = kernel._CHUNK  # values of a long series folded at a time
+CHUNK = kernel._CHUNK  # values of a long series scanned at a time
 
 
 def _close(got, want):
@@ -215,10 +215,17 @@ def _assert_sampled_selection_exact(x, ks):
                 _assert_same_grids(one, tail_grid(x, ks, phi, adjust), (phi, adjust, "sort"))
 
 
+def _sample(v, kmax):
+    """The sample of the pool's bound: ``kmax + 1`` evenly spaced runs of 8 values, the ``n % (kmax + 1)`` tail
+    never read."""
+    n = v.size
+    return v[:n - n % (kmax + 1)].reshape(kmax + 1, -1)[:, :8].ravel()
+
+
 def _guess_count(v, kmax):
     """How many values reach the sampled guess bound: the retry is taken when at most kmax do."""
     s = v.size // (8 * (kmax + 1))
-    return np.add.reduce(v >= np.sort(v[::s])[-(2 * (kmax + 1) // s + 1)])
+    return np.add.reduce(v >= np.sort(_sample(v, kmax))[-(2 * (kmax + 1) // s + 1)])
 
 
 @settings(max_examples=60, deadline=None)
@@ -248,13 +255,14 @@ def test_sampled_selection_guess_bound_suffices():
 
 
 def test_sampled_selection_retries_when_the_sample_meets_every_spike():
-    # rising spikes at every s-th position, ties at 1 between them: the sample holds only spikes,
+    # rising spikes at every sampled position, ties at 1 elsewhere: the sample holds only spikes,
     # so the guess bound is reached by g <= kmax values and the (kmax+1)-th sampled value is taken;
-    # the second series has signed values over three chunks and one more value
+    # the second series has signed values over three chunks and a tail of 32 values the sample never reads
     for n, kmax, sign in ((2**15, 50, 1.0), (3 * CHUNK + 1, 100, -1.0)):
-        s = n // (8 * (kmax + 1))
         i = np.arange(n)
-        x = np.where(i % s == 0, 2.0 + i // s, 1.0) * sign ** i
+        sampled = (i % (n // (kmax + 1)) < 8) & (i < n - n % (kmax + 1))
+        x = np.where(sampled, 1.0 + np.cumsum(sampled), 1.0) * sign ** i
+        assert sampled.sum() == 8 * (kmax + 1) and np.all(np.abs(_sample(x, kmax)) > 1.0)
         assert _guess_count(np.abs(x), kmax) <= kmax
         assert kernel._pool(x, kmax)[1].size == kmax + 1
         _assert_sampled_selection_exact(x, [1, 10, kmax])
@@ -312,6 +320,78 @@ def test_short_series_and_blocks_are_not_sampled():
     assert kernel._pool(rng.random(2**15), 2**15 // 128)[0] is None
     assert kernel._pool(rng.random((2, 2**16)), 1)[0] is None
     assert kernel._pool(rng.random(2**15), 2**15 // 128 - 1)[0] is not None
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 250), st.integers(0, 250), st.integers(0, 2**32 - 1),
+       st.sampled_from(["t", "alphabet"]), st.sampled_from([1, 2, 3, -1, -2]),
+       st.lists(st.sampled_from([np.nan, np.inf, -np.inf]), max_size=3), st.data())
+def test_pool_holds_the_top_and_every_non_finite_value(kmax, rest, seed, kind, stride, bad, data):
+    # any n % (kmax + 1), a signed or tied series, read through a strided view: the pool holds every position
+    # whose |x| is at least the (kmax+1)-th largest (NaN last) and every NaN and infinite value, at its |x|
+    q = max(2**15 // (kmax + 1) + 1, 128) + data.draw(st.integers(0, 64))
+    n = q * (kmax + 1) + rest % (kmax + 1)
+    rng = np.random.default_rng(seed)
+    base = rng.standard_t(3.0, n * abs(stride))
+    if kind == "alphabet":
+        base = np.round(base)
+    x = base[::stride]
+    positions = data.draw(st.lists(st.integers(0, n - 1), min_size=len(bad), max_size=len(bad)))
+    x[positions] = bad
+    pos, pool = kernel._pool(x, kmax)
+    assert pos is not None and np.all(np.diff(pos) > 0)
+    assert np.array_equal(pool, np.abs(x[pos]), equal_nan=True)
+    folded = np.abs(x)
+    least = np.sort(folded)[-kmax - 1]
+    must = np.union1d((folded >= least).nonzero()[0], (~np.isfinite(x)).nonzero()[0])
+    assert np.isin(must, pos).all()
+
+
+# a long series (three chunks and 5 values) at k = 100: runs of 973 values, each sampled at its first 8, and a
+# tail of 36 the sample never reads
+LONG_N, LONG_K = 3 * CHUNK + 5, 100
+SPOTS = {"in a run": 5 * 973 + 3, "between runs": 5 * 973 + 500, "chunk end": CHUNK - 1, "chunk start": CHUNK,
+         "tail": LONG_N - 20, "last": LONG_N - 1}
+LONG_ENTRIES = {**{f"run_test-{phi}-{adjust}": lambda x, k, phi=phi, adjust=adjust: run_test(
+    x, TailTestConfig(k=k, phi=phi, adjust=adjust)) for phi, adjust in PAIRS},
+    "hill": hill, "cusum_statistic": cusum_statistic, "deviation_process": deviation_process,
+    "residual_cusum": lambda x, k: residual_cusum(x, 1, k)}
+
+
+def _named(index, bad):
+    return pytest.raises(ValueError, match=f"^series contains a non-finite value at index {index} \\({bad!r}\\)$")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("spot", SPOTS)
+def test_a_non_finite_value_anywhere_in_a_long_series_is_named(spot, bad):
+    x = replication_rng(12, 0).standard_t(3.0, LONG_N)
+    i = SPOTS[spot]
+    tail = i >= LONG_N - LONG_N % (LONG_K + 1)
+    assert (i % (LONG_N // (LONG_K + 1)) < 8 and not tail) == (spot == "in a run")
+    assert tail == (spot in ("tail", "last"))
+    assert kernel._pool(x, LONG_K)[0] is not None  # the long path
+    x[i] = bad
+    for entry in LONG_ENTRIES.values():
+        with _named(i, bad):
+            entry(x, LONG_K)
+    # a block's rows: the first that holds one is named, at its index in that row
+    block = replication_rng(12, 1).standard_t(3.0, (3, 2000))
+    block[1, i % 2000], block[2, 0] = bad, np.nan
+    with _named(i % 2000, bad):
+        tail_grid(block, [1, LONG_K], "log_excess", "lag1")
+
+
+@pytest.mark.parametrize("k", [0, LONG_N, 2.5, "5"])
+def test_a_non_finite_value_is_named_before_a_bad_k(k):
+    x = replication_rng(12, 0).standard_t(3.0, LONG_N)
+    x[SPOTS["tail"]] = np.inf
+    for entry in (hill, cusum_statistic, deviation_process, estimate_omega):
+        with _named(SPOTS["tail"], np.inf):
+            entry(x, k)
+    if isinstance(k, int) and k > 0:  # run_test's own range: too few values for k
+        with _named(SPOTS["tail"], np.inf):
+            run_test(x, TailTestConfig(k=k))
 
 
 def test_fully_tied_top_keeps_alpha_infinite():

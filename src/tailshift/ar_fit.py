@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernel
 from .cusum import TailTestConfig, TestOutcome, run_test
-from .tail_core import as_int, finite_series
+from .tail_core import _real_series, as_int
 
 __all__ = [
     "ArFit",
@@ -92,10 +93,11 @@ def fit_ar(x, order: int, method: str = "ols") -> ArFit:
         ``scipy.linalg.solve_toeplitz`` (for p = 1 this is the lag-1/lag-0
         moment ratio, always inside [-1, 1]).
     """
-    v = finite_series(x)
+    v = _real_series(x)
     order = check_fit_args(v.size, order, method)
     coef, residuals, errors = _fit_rows(v[None], order, method)
-    if errors:
+    if errors:  # a NaN or infinite value always leaves the fit without a finite solution, so it is sought only here
+        kernel.reject_non_finite(v[None])
         raise errors[0]
     return ArFit(order=order, coefficients=coef[0], residuals=residuals[0], method=method)
 

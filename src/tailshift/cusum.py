@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel, null_dist
-from .tail_core import _at_k, as_int, require_real
+from .tail_core import _at_k, as_int, require_level
 
 __all__ = [
     "PHI_KINDS",
@@ -56,9 +56,7 @@ class TailTestConfig:
         _check_phi(self.phi)
         if self.adjust not in ADJUST_MODES:
             raise ValueError(f"adjust must be one of {ADJUST_MODES}, got {self.adjust!r}")
-        require_real("level", self.level)
-        if not 0.0 < self.level < 1.0:
-            raise ValueError(f"level must lie in (0, 1), got {self.level}")
+        require_level(self.level)
         # a subnormal level has too few digits for its critical value (the smallest cannot be solved at all)
         if self.level < 2.0**-1022:
             raise ValueError(f"level must be at least 2**-1022, the smallest normal float, got {self.level!r}")

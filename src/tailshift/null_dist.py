@@ -17,8 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .kernel import deviation
-from .tail_core import as_int, require_real
-from .variates import _streams, as_generator
+from .tail_core import as_int, require_level
 
 __all__ = [
     "CriticalValueTable",
@@ -66,9 +65,7 @@ def _null_nonfinite(record: dict) -> dict:
 
 def analytic_quantile(level: float) -> float:
     """Quantile of sup|Brownian bridge| at ``level``, the inverse Kolmogorov CDF."""
-    require_real("level", level)
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must lie in (0, 1), got {level}")
+    require_level(level)
     return _solve(level, 1.0 - level)
 
 
@@ -122,6 +119,8 @@ def simulate_L(n_points: int, seed=None) -> float:
     deviation of their partial sums from the proportional share of the total,
     scaled by ``1 / sqrt(n_points)``.
     """
+    from .variates import as_generator  # here, so that the analytic critical values do not load the samplers
+
     n_points = as_int(n_points, "n_points", 2)
     return _sup_deviation(as_generator(seed).standard_normal(n_points), np.arange(1, n_points + 1) / n_points)
 
@@ -152,11 +151,13 @@ def mc_critical_values(
     count and schedule.
     """
     levels = _levels(levels)
-    if any(not 0.0 < lv < 1.0 for lv in levels):
-        raise ValueError(f"levels must lie in (0, 1), got {levels}")
+    for lv in levels:
+        require_level(lv)
     n_rep = as_int(n_rep, "n_rep", 100)
     seed = as_int(seed, "seed", 0)
     n_points = as_int(n_points, "n_points", 2)
+    from .variates import _streams  # here, so that the analytic critical values do not load the samplers
+
     share = np.arange(1, n_points + 1) / n_points
     draws = np.empty(n_rep)
 

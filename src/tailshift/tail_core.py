@@ -6,8 +6,8 @@ formulas and the only sort, through one entry, ``_at_k``: it views the
 series, checks ``k``, evaluates a one-element k grid and raises for the
 status bits of the degeneracies the caller's statistic cannot evaluate. The
 kernel rejects a NaN or infinite value from its own scan and sort, so the test
-path reads the series once; ``finite_series``, which the AR fit calls, decides
-with one dot product instead.
+path reads the series once; ``_finite_rows``, which the simulated paths pass
+through, decides with one dot product instead.
 
 All operations act on the absolute values of the data, so signed series such
 as regression residuals are handled transparently. Thresholds are order
@@ -99,6 +99,13 @@ def require_real(name: str, value) -> None:
     """Reject a bool or a value of a non-real type, naming the field."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"{name} must be a real number, got {value!r} of type {type(value).__name__}")
+
+
+def require_level(level) -> None:
+    """Reject a ``level`` that is not a real number in (0, 1)."""
+    require_real("level", level)
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must lie in (0, 1), got {level}")
 
 
 _UNDEFINED = {  # the text of each status bit ``_at_k`` can raise for, in the order it checks them

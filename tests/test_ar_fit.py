@@ -66,6 +66,33 @@ def test_non_finite_input_and_bool_order_are_rejected():
     assert fit_ar(exact_halving_series(), np.int64(1)).order == 1
 
 
+@pytest.mark.parametrize("method", FIT_METHODS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_value_always_leaves_the_fit_without_a_finite_solution(bad, method):
+    # fit_ar searches a series for a non-finite value only when its fit fails, so no such value may give a fit
+    rng = np.random.default_rng(5)
+    for n in (6, 7, 33, 1000, 33000):
+        base = rng.standard_t(3, n)
+        sparse = np.where(np.arange(n) % 2 == 0, 0.0, base)  # zero neighbours: 0 * inf in the moments
+        for series in (base, sparse, np.zeros(n)):
+            for order in (1, 2, 3):
+                for pos in {0, order - 1, order, n // 2, n - 2, n - 1}:
+                    x = series.copy()
+                    x[pos] = bad
+                    assert 0 in _fit_rows(x[None], order, method)[2], (n, order, pos)
+                    with pytest.raises(ValueError, match=f"^series contains a non-finite value at index {pos} ") as exc:
+                        fit_ar(x, order, method)
+                    assert not isinstance(exc.value, DegenerateDataError)
+
+
+def test_a_short_series_is_named_before_a_non_finite_value():
+    # the length is checked before the fit, the fit before the search for a non-finite value
+    with pytest.raises(ValueError, match="^need n >= order \\+ 2 = 3, got n = 2$"):
+        fit_ar([np.nan, 1.0], 1)
+    with pytest.raises(ValueError, match="^method must be one of"):
+        fit_ar([np.inf, 1.0, 2.0], 1, "ridge")
+
+
 def test_degenerate_designs_raise():
     # an all-zero series is singular, and finite values whose second moments
     # overflow have no finite solution: one named error under both methods,

@@ -759,6 +759,44 @@ loaded("ar-test --method yule-walker", linalg=True)
     assert proc.returncode == 0, proc.stderr
 
 
+def test_each_documented_name_loads_only_its_module_on_first_use():
+    names = [
+        "ArFit", "BurrParams", "ChangeSpec", "CriticalValueTable", "DegenerateDataError", "DegenerateThresholdError",
+        "ModelSpec", "SimulationSpec", "TDistParams", "TailTestConfig", "TestOutcome", "analytic_critical_values",
+        "cusum_statistic", "deviation_process", "estimate_chi", "estimate_omega", "fit_ar", "hill",
+        "mc_critical_values", "residual_cusum", "run_table", "run_test", "simulate", "sweep", "table_specs",
+    ]
+    script = f"""
+import sys
+
+def submodules():
+    return sorted(m for m in sys.modules if m.startswith("tailshift."))
+
+import tailshift
+assert submodules() == [], submodules()
+assert tailshift.__all__ == {names!r}, tailshift.__all__
+tailshift.analytic_critical_values((0.95,))
+assert submodules() == ["tailshift.kernel", "tailshift.null_dist", "tailshift.tail_core"], submodules()
+tailshift.run_test([5.0, 1.0, 2.0, 3.0, 4.0, 0.5], tailshift.TailTestConfig(k=2))
+assert submodules() == ["tailshift.cusum", "tailshift.kernel", "tailshift.null_dist", "tailshift.tail_core"], submodules()
+try:
+    tailshift.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc), exc
+else:
+    raise AssertionError("an undocumented name resolved")
+from tailshift import *
+from tailshift import experiments
+assert experiments is sys.modules["tailshift.experiments"]
+assert set(tailshift.__all__) <= set(dir(tailshift)), dir(tailshift)
+for name in tailshift.__all__:
+    value = globals()[name]
+    assert value is getattr(tailshift, name) is getattr(sys.modules[value.__module__], name), name
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_read_series_rejects_non_finite_with_line_number(tmp_path):
     path = write(tmp_path, "# header\n1\n\n2\n# note\nnan\n4\n")
     with pytest.raises(ValueError, match="line 6: nan is not a finite number"):

@@ -9,7 +9,7 @@ from scipy.special import kolmogi
 from scipy.stats import kstwobign
 
 from oracles import kolmogorov_cdf, kolmogorov_quantile
-from tailshift import null_dist
+from tailshift import null_dist, variates
 from tailshift.null_dist import (
     CriticalValueTable,
     analytic_critical_values,
@@ -199,7 +199,7 @@ def test_mc_worker_exception_reaches_the_caller(monkeypatch):
     class Boom(RuntimeError):
         pass
 
-    real_streams = null_dist._streams
+    real_streams = variates._streams
 
     def failing_streams(seed, start, stop):
         for r, rng in zip(range(start, stop), real_streams(seed, start, stop)):
@@ -208,7 +208,7 @@ def test_mc_worker_exception_reaches_the_caller(monkeypatch):
             yield rng
 
     monkeypatch.setattr(null_dist, "_worker_count", lambda: 2)
-    monkeypatch.setattr(null_dist, "_streams", failing_streams)
+    monkeypatch.setattr(variates, "_streams", failing_streams)
     with pytest.raises(Boom, match="^replicate 150$"):
         mc_critical_values(STANDARD_LEVELS, n_points=50, n_rep=200, seed=1)
 
@@ -216,8 +216,8 @@ def test_mc_worker_exception_reaches_the_caller(monkeypatch):
 def test_mc_validation():
     with pytest.raises(ValueError):
         mc_critical_values([0.95], n_rep=99)
-    with pytest.raises(ValueError):
-        mc_critical_values([1.5])
+    with pytest.raises(ValueError, match="^level must lie in \\(0, 1\\), got 1.5$"):
+        mc_critical_values([0.95, 1.5])  # the level rule and message of analytic_critical_values
     with pytest.raises(ValueError):
         mc_critical_values([])
     for seed in (1.5, True):  # not silently run as seed 1

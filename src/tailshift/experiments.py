@@ -6,10 +6,12 @@ numbers across the k axis), and aggregates rejection rates, the mean squared
 error of the change-point fraction (when a change is injected) and the mean
 tail-exponent estimate. Replication ``r`` draws from the split stream
 ``(seed, r)``, and only those draws run per replication: the paths, the AR fit
-and the fold of a block of replications are computed once for the block, as
-rows each bit-identical to its series alone, and the block goes through one
-kernel pass. The sums run in replication order, so reruns and any block size
-are bit-identical.
+and the fold of a block of replications are computed once for each run of the
+block, as rows each bit-identical to its series alone, and each run goes
+through one kernel pass. A block is cut into one contiguous run per usable
+core, each on its own thread; numpy releases the GIL in the draws, the filters
+and the kernel's sorts and reductions. The sums run in replication order, so
+reruns, any block size and any core count are bit-identical.
 
 ``table_specs`` reproduces the benchmark grids (numbered 2-10) used to
 calibrate this implementation: sizes for i.i.d. Burr samples and for MA(1)/
@@ -24,7 +26,7 @@ import numpy as np
 
 from .ar_fit import _fit_rows, check_fit_args
 from .cusum import TailTestConfig
-from .kernel import tail_grid
+from .kernel import TailGrid, tail_grid
 from .null_dist import _delimited, _null_nonfinite, _solve
 from .tail_core import as_int
 from .variates import (
@@ -32,6 +34,7 @@ from .variates import (
     ChangeSpec,
     ModelSpec,
     TDistParams,
+    _fan,
     _require_change,
     _simulate_rows,
     _streams,
@@ -122,7 +125,9 @@ def run_table(spec: SimulationSpec) -> TableResult:
     """Run every replication of ``spec`` and aggregate per k.
 
     Replications are simulated, fitted and folded by blocks, each evaluated
-    with its whole k grid in one kernel pass. A documented degeneracy (a
+    with its whole k grid in one kernel pass. A block's rows run as one
+    contiguous run per usable core, whose grids are summed in row order, so
+    the result is the same for every core count. A documented degeneracy (a
     singular or non-finite AR fit, or a grid cell whose kernel ``status`` is
     not 0: too few residuals for k, a zero (k+1)-th largest value, an infinite
     ``alpha_hat`` under the log-excess scaling) counts as neither rejection
@@ -136,23 +141,18 @@ def run_table(spec: SimulationSpec) -> TableResult:
     ok_count = np.zeros(n_k, dtype=np.int64)
     alpha_sum = np.zeros(n_k)
     critical = _solve(1.0 - spec.level, spec.level)
+    n = spec.n - spec.ar_order * (spec.test == "ar_residual")  # the length of a tested series
 
     for start in range(0, spec.replications, _BLOCK):
         rngs = _streams(spec.seed, start, min(start + _BLOCK, spec.replications))
-        block = _simulate_rows(spec.model, spec.n, rngs, spec.change)
-        if spec.test == "ar_residual":
-            _, residuals, unfit = _fit_rows(block, spec.ar_order, spec.ar_method)
-            # a row without a fit is an error at every k; a residual that overflows is the kernel's error
-            block = np.delete(residuals, list(unfit), axis=0)
-            if not len(block):
-                continue
-        grid = tail_grid(block, ks, spec.phi, spec.adjust)
-        ok = grid.status == 0
-        ok_count += np.add.reduce(ok, axis=0)
-        rejects += np.add.reduce((grid.scale * grid.statistic >= critical) & ok, axis=0)
-        alpha_sum = _add_in_order(alpha_sum, grid.alpha_hat, ok)
-        if spec.change is not None:
-            sq_err = _add_in_order(sq_err, (grid.l_hat / block.shape[-1] - spec.change.tau) ** 2, ok)
+        # the runs' grids in row order, so the sums still run in replication order; a run left without rows has None
+        for grid in filter(None, _fan(len(rngs), lambda a, b: _block_grid(spec, ks, rngs[a:b]))):
+            ok = grid.status == 0
+            ok_count += np.add.reduce(ok, axis=0)
+            rejects += np.add.reduce((grid.scale * grid.statistic >= critical) & ok, axis=0)
+            alpha_sum = _add_in_order(alpha_sum, grid.alpha_hat, ok)
+            if spec.change is not None:
+                sq_err = _add_in_order(sq_err, (grid.l_hat / n - spec.change.tau) ** 2, ok)
 
     rows = []
     for j, k in enumerate(spec.k_grid):
@@ -168,6 +168,17 @@ def run_table(spec: SimulationSpec) -> TableResult:
             )
         )
     return TableResult(spec=spec, rows=tuple(rows))
+
+
+def _block_grid(spec: SimulationSpec, ks: np.ndarray, rngs) -> TailGrid | None:
+    """The kernel grid of the replications of ``rngs``: of their paths, or of the AR residuals of those that
+    have a fit (a row without one is an error at every k; a residual that overflows is the kernel's error).
+    None when no row is left."""
+    block = _simulate_rows(spec.model, spec.n, rngs, spec.change)
+    if spec.test == "ar_residual":
+        _, block, unfit = _fit_rows(block, spec.ar_order, spec.ar_method)
+        block = np.delete(block, list(unfit), axis=0) if unfit else block
+    return tail_grid(block, ks, spec.phi, spec.adjust) if len(block) else None
 
 
 def _add_in_order(running: np.ndarray, rows: np.ndarray, ok: np.ndarray) -> np.ndarray:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import io
 import math
 import numbers
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -125,13 +124,6 @@ def simulate_L(n_points: int, seed=None) -> float:
     return _sup_deviation(as_generator(seed).standard_normal(n_points), np.arange(1, n_points + 1) / n_points)
 
 
-def _worker_count() -> int:
-    """Cores this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def mc_critical_values(
     levels: Sequence[float],
     n_points: int = 10_000,
@@ -156,7 +148,7 @@ def mc_critical_values(
     n_rep = as_int(n_rep, "n_rep", 100)
     seed = as_int(seed, "seed", 0)
     n_points = as_int(n_points, "n_points", 2)
-    from .variates import _streams  # here, so that the analytic critical values do not load the samplers
+    from .variates import _fan, _streams  # here, so that the analytic critical values do not load the samplers
 
     share = np.arange(1, n_points + 1) / n_points
     draws = np.empty(n_rep)
@@ -166,12 +158,7 @@ def mc_critical_values(
         for r, rng in zip(range(start, stop), _streams(seed, start, stop)):
             draws[r] = _sup_deviation(rng.standard_normal(out=normals), share, d)
 
-    from concurrent.futures import ThreadPoolExecutor  # ~6 ms of stdlib, so only where Monte Carlo runs
-
-    workers = min(_worker_count(), n_rep)
-    bounds = [n_rep * i // workers for i in range(workers + 1)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(fill, bounds[:-1], bounds[1:]))  # re-raises the first worker exception here
+    _fan(n_rep, fill)
     values = tuple(float(q) for q in np.quantile(draws, levels))
     return CriticalValueTable(
         levels=levels,

@@ -7,7 +7,7 @@ series, checks ``k``, evaluates a one-element k grid and raises for the
 status bits of the degeneracies the caller's statistic cannot evaluate. The
 kernel rejects a NaN or infinite value from its own scan and sort, so the test
 path reads the series once; ``_finite_rows``, which the simulated paths pass
-through, decides with one dot product instead.
+through, decides with one sum of the block instead (no BLAS call).
 
 All operations act on the absolute values of the data, so signed series such
 as regression residuals are handled transparently. Thresholds are order
@@ -70,12 +70,13 @@ def finite_series(x) -> np.ndarray:
 def _finite_rows(v: np.ndarray) -> np.ndarray:
     """The ``(R, n)`` block of series ``v``; a NaN or infinite value is rejected with its index in its series.
 
-    One dot product of the block with itself decides (BLAS, which reads a contiguous block in place and sets
-    no floating-point warning): only when it is not finite (a bad value, or finite values whose squares
-    overflow it) is the block searched, by the kernel's rule.
+    One sum of the block decides, with no BLAS call and no floating-point warning: only when its magnitude is
+    not below inf (a bad value, -inf too, or finite values whose sum overflows) is the block searched, by the
+    kernel's rule.
     """
-    if not np.vdot(v, v) < np.inf:
-        kernel.reject_non_finite(v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not abs(np.add.reduce(v, axis=None)) < np.inf:
+            kernel.reject_non_finite(v)
     return v
 
 

@@ -12,6 +12,8 @@ the block of one.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -119,12 +121,49 @@ class _streams:
     def __len__(self) -> int:
         return len(self.keys)
 
+    def __getitem__(self, rows: slice) -> "_streams":
+        """The streams of ``rows``, the same keys with a generator of their own."""
+        part = object.__new__(_streams)
+        part.keys = self.keys[rows]
+        return part
+
     def __iter__(self):
         rng = np.random.Generator(np.random.Philox(0))
         fresh = rng.bit_generator.state
         for key in self.keys:
             rng.bit_generator.state = fresh | {"state": {"counter": fresh["state"]["counter"], "key": key}}
             yield rng
+
+
+def _worker_count() -> int:
+    """Cores this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _fan(count: int, run) -> list:
+    """The results, in order, of ``run(a, b)`` over one contiguous run ``a..b-1`` of ``range(count)`` per usable core.
+
+    The first run goes on the calling thread and each other on a thread of its own. Once every thread has
+    ended, the exception of the earliest run that raised, if any did, is raised here. numpy keeps
+    ``np.errstate`` per thread, so ``run`` sets its own."""
+    workers = min(_worker_count(), count)
+    results, errors = [None] * workers, [None] * workers
+
+    def work(i: int) -> None:
+        try:
+            results[i] = run(count * i // workers, count * (i + 1) // workers)
+        except BaseException as exc:  # raised below, once every run has ended
+            errors[i] = exc
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    work(0)
+    for thread in threads:
+        thread.join()
+    for exc in filter(None, errors):  # the earliest run's first
+        raise exc
+    return results
 
 
 @dataclass(frozen=True)

@@ -744,6 +744,7 @@ loaded("ar-test")
 stdlib("ar-test")
 assert cli.main(["critical-values", "--mc", "--paths", "100", "--reps", "100"]) == 0
 loaded("critical-values --mc")
+assert "concurrent.futures" not in sys.modules, "critical-values --mc"  # its paths run on plain threads
 assert cli.main(["simulate", "--model", "iid-burr", "--lam", "1", "--gamma", "-2", "--n", "200", "--out", {out!r}]) == 0
 loaded("simulate iid-burr")
 assert cli.main(["simulate", "--model", "ma1-t", "--nu", "3", "--coef", "0.5", "--n", "200", "--out", {out!r}]) == 0
@@ -752,6 +753,7 @@ assert cli.main(["critical-values"]) == 0
 loaded("critical-values")
 assert cli.main(["tables", "--table", "5", "--replications", "5", "--out", {table!r}]) == 0
 loaded("tables --table 5")
+assert "concurrent.futures" not in sys.modules, "tables"
 assert cli.main(["ar-test", {path!r}, "--k", "20", "--order", "1", "--method", "yule-walker"]) in (0, 2)
 loaded("ar-test --method yule-walker", linalg=True)
 """

@@ -1,14 +1,15 @@
 import csv
 import io
 import json
+import sys
 import warnings
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
 from oracles import run_table_oracle
-from tailshift import experiments
+from tailshift import experiments, tail_core, variates
 from tailshift.experiments import (
     SimulationSpec,
     TABLE_IDS,
@@ -248,6 +249,54 @@ def test_singular_fits_drop_out_of_their_block(monkeypatch):
     got = run_table(spec)
     assert [cell.error_count for cell in got.rows] == [len(singular)] * 2
     assert results_to_csv([got]) == results_to_csv([run_table_oracle(spec)])
+
+
+def nan_aware(result):
+    """The result's cells as tuples, NaN as None, so that equal results compare equal."""
+    return [tuple(None if isinstance(v, float) and v != v else v for v in astuple(cell)) for cell in result.rows]
+
+
+@pytest.mark.parametrize("table_id", [2, 5, 8, 9])
+def test_run_table_is_the_same_for_every_worker_count(table_id, monkeypatch):
+    # 70 workers is more than a block has rows: each row is then a run of its own
+    spec = table_specs(table_id, seed=11)[0]
+    real_rows = experiments._simulate_rows
+    if spec.test == "ar_residual":  # replications 40 and 100 are zero: unfit rows in the second run of a block
+        first_values = {simulate(spec.model, spec.n, replication_rng(spec.seed, r), spec.change)[0] for r in (40, 100)}
+
+        def zeroed(*args):
+            paths = real_rows(*args)
+            paths[np.isin(paths[:, 0], list(first_values))] = 0.0
+            return paths
+
+        monkeypatch.setattr(experiments, "_simulate_rows", zeroed)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so runs interleave
+    try:
+        for replications in (1, 7, 65, 130):
+            spec = replace(spec, replications=replications)
+            results = []
+            for workers in (1, 2, 3, 70):
+                monkeypatch.setattr(variates, "_worker_count", lambda: workers)
+                results.append(nan_aware(run_table(spec)))
+            assert results[1:] == results[:1] * 3
+            if spec.test == "ar_residual" and replications > 40:
+                assert all(cell[-1] >= 1 + (replications > 100) for cell in results[0])  # the error counts
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_the_direct_block_path_makes_no_blas_call(monkeypatch):
+    def blas(*args, **kwargs):
+        raise AssertionError("BLAS call")
+
+    for name in ("vdot", "dot", "matmul", "inner"):
+        monkeypatch.setattr(np, name, blas)
+    spec = replace(table_specs(5, seed=2)[0], replications=70)
+    assert run_table(spec).rows
+    x = replication_rng(2, 0).standard_t(3.0, 1000)
+    assert tail_core.finite_series(x) is not None
+    assert tail_core._finite_rows(np.stack([x, -x])).shape == (2, 1000)
 
 
 def test_fits_whose_moments_overflow_are_counted_under_both_methods():

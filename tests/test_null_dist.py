@@ -182,7 +182,7 @@ def test_mc_table_monotone_and_deterministic():
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_mc_table_equals_the_serial_loop_for_any_worker_count(monkeypatch, workers):
-    monkeypatch.setattr(null_dist, "_worker_count", lambda: workers)
+    monkeypatch.setattr(variates, "_worker_count", lambda: workers)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # switch threads often, so chunks interleave
     try:
@@ -207,7 +207,7 @@ def test_mc_worker_exception_reaches_the_caller(monkeypatch):
                 raise Boom(f"replicate {r}")
             yield rng
 
-    monkeypatch.setattr(null_dist, "_worker_count", lambda: 2)
+    monkeypatch.setattr(variates, "_worker_count", lambda: 2)
     monkeypatch.setattr(variates, "_streams", failing_streams)
     with pytest.raises(Boom, match="^replicate 150$"):
         mc_critical_values(STANDARD_LEVELS, n_points=50, n_rep=200, seed=1)

@@ -1,3 +1,5 @@
+import threading
+import time
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -8,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import burr12, kstest
 
+from tailshift import variates
 from tailshift.kernel import tail_grid
 from tailshift.variates import (
     AR_BURNIN,
@@ -15,6 +18,7 @@ from tailshift.variates import (
     ChangeSpec,
     ModelSpec,
     TDistParams,
+    _fan,
     _simulate_rows,
     _stream_keys,
     _streams,
@@ -307,6 +311,53 @@ def test_block_over_streams_is_the_block_over_replication_rngs(kind, coef, pre, 
     rngs = [replication_rng(seed, r) for r in range(start, start + rows)]
     block = _simulate_rows(model, n, _streams(seed, start, start + rows), change)
     assert block.tobytes() == _simulate_rows(model, n, rngs, change).tobytes()
+
+
+@pytest.mark.parametrize("seed, start, rows, a, b", [
+    (7, 0, 64, 0, 21), (7, 0, 64, 42, 64), (2**40, 2**32 - 3, 9, 2, 5), (3, 10, 4, 4, 4)])
+def test_a_slice_of_streams_is_the_streams_of_its_rows(seed, start, rows, a, b):
+    streams = _streams(seed, start, start + rows)
+    whole = next(iter(streams))  # the whole's generator, drawn from after the slice's rows are
+    part = streams[a:b]
+    assert len(part) == b - a
+    drawn = [rng.random(3).tobytes() for rng in part]
+    assert drawn == [replication_rng(seed, r).random(3).tobytes() for r in range(start + a, start + b)]
+    assert whole.random(3).tobytes() == replication_rng(seed, start).random(3).tobytes()
+
+
+@pytest.mark.parametrize("workers, count", [(1, 5), (2, 64), (3, 64), (3, 1), (70, 5)])
+def test_fan_runs_contiguous_runs_in_order(monkeypatch, workers, count):
+    monkeypatch.setattr(variates, "_worker_count", lambda: workers)
+    runs = _fan(count, lambda a, b: (a, b, threading.current_thread()))
+    assert len(runs) == min(workers, count)
+    bounds = [count * i // len(runs) for i in range(len(runs) + 1)]
+    assert [run[:2] for run in runs] == list(zip(bounds[:-1], bounds[1:]))
+    assert runs[0][2] is threading.current_thread()  # the first run goes on the calling thread
+    assert len({run[2] for run in runs}) == len(runs)
+
+
+def test_fan_raises_the_earliest_runs_exception_after_every_thread_ends(monkeypatch):
+    class Boom(RuntimeError):
+        pass
+
+    raised, threads = threading.Event(), []
+
+    def run(a, b):
+        threads.append(threading.current_thread())
+        if a == 0:  # raises after run 2 did
+            assert raised.wait(10)
+            raise Boom("run 0")
+        if a == 1:  # still running when both have raised
+            time.sleep(0.2)
+            return a
+        raised.set()
+        raise Boom("run 2")
+
+    monkeypatch.setattr(variates, "_worker_count", lambda: 3)
+    with pytest.raises(Boom, match="^run 0$"):
+        _fan(3, run)
+    workers = [thread for thread in threads if thread is not threading.current_thread()]
+    assert len(threads) == 3 and len(workers) == 2 and not any(thread.is_alive() for thread in workers)
 
 
 def test_simulate_deterministic():

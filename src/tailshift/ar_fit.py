@@ -22,7 +22,8 @@ import numpy as np
 
 from . import kernel
 from .cusum import TailTestConfig, TestOutcome, run_test
-from .tail_core import _real_series, as_int
+from ._checks import as_int
+from .tail_core import _real_series
 
 __all__ = [
     "ArFit",

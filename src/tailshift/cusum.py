@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel, null_dist
-from .tail_core import _at_k, as_int, require_level
+from ._checks import as_int, require_level
+from .tail_core import _at_k
 
 __all__ = [
     "PHI_KINDS",

@@ -24,11 +24,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from ._checks import as_int
 from .ar_fit import _fit_rows, check_fit_args
 from .cusum import TailTestConfig
 from .kernel import TailGrid, tail_grid
 from .null_dist import _delimited, _null_nonfinite, _solve
-from .tail_core import as_int
 from .variates import (
     BurrParams,
     ChangeSpec,

@@ -31,6 +31,7 @@ bit each per cell (0: the test has an outcome); it imports no package module.
 from __future__ import annotations
 
 import functools
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -113,6 +114,15 @@ def deviation(running, share, total, out=None):
     return np.subtract(running, d, out=d)
 
 
+def sup_deviation(normals: np.ndarray, share: np.ndarray, out: np.ndarray | None = None) -> float:
+    """The bridge supremum of the path of ``normals``, which are summed in place; ``share`` is ``(1..n) / n``, and
+    ``out``, if given, an n-length row for the deviations."""
+    partial = np.add.accumulate(normals, out=normals)
+    d = deviation(partial, share, partial[-1], out)
+    # D(n) = 0, so the larger of max d and -min d is exactly max |d|, without the |d| temporary
+    return float(max(np.maximum.reduce(d), -np.minimum.reduce(d)) / math.sqrt(share.size))
+
+
 def tail_grid(x: np.ndarray, ks, phi: str | None = None, adjust: str = "iid") -> TailGrid:
     """Evaluate the tail quantities at every ``k`` of ``ks`` at once.
 
@@ -174,7 +184,7 @@ def tail_grid(x: np.ndarray, ks, phi: str | None = None, adjust: str = "iid") ->
         above = v > srt[:, kmax - 1, None]  # each series' values above its smallest threshold
         counts = np.add.reduce(above, axis=-1)
         sums = {}
-        for m in np.unique(counts):
+        for m in np.unique(counts) if counts.size else [0]:  # an empty block still gets every field, (0, K)
             rows = (counts == m).nonzero()[0]
             hits = above[rows].ravel().nonzero()[0].reshape(rows.size, m)
             part = _segments(v[rows], hits, threshold[rows], kk, finite_alpha[rows], phi, adjust, True)
@@ -268,13 +278,14 @@ def _segments(v, hits, threshold, kk, finite_alpha, phi, adjust, spare: bool) ->
     # ends. The first segment is read from l = 0 (D = 0) in place of l = 1: on
     # it |D(l)| = (l / n) * total, and where the first value exceeds it is empty.
     # Only D == 0 everywhere then puts the first maximum at l = 0, reported as l = 1.
+    width = 2 * ends.shape[-2]  # a row's segment ends, spelt out: -1 cannot be inferred for an empty block
     abs_d = np.abs(deviation(partial, ends[..., None, :, :] / n, total[..., None, None])).reshape(
-        threshold.shape + (-1,))
+        threshold.shape + (width,))
     first_max = abs_d.argmax(axis=-1)
     ends[..., 0, 0] = 1
     sums.update(total=total, n_exceed=np.add.reduce(exceed, axis=-1),
                 statistic=np.maximum.reduce(abs_d, axis=-1) / np.sqrt(kk),
-                l_hat=ends.reshape(idx.shape[:-1] + (-1,))[lead + (first_max,)],
+                l_hat=ends.reshape(idx.shape[:-1] + (width,))[lead + (first_max,)],
                 scale=scale(phi, adjust, finite_alpha, sums.get("omega_hat"), sums.get("chi_hat")))
     return sums
 

@@ -4,19 +4,18 @@ The scaled CUSUM statistics converge to ``sup |B(t) - t B(1)|``, whose law is
 the Kolmogorov distribution. Critical values come either from its inverse
 (default: exact, seed-free, solved by Newton's method), or from the Monte Carlo
 recipe that discretizes the bridge as a standard normal partial-sum path.
+The analytic path is pure ``math`` and loads no numpy; the Monte Carlo recipe
+imports numpy and the tail kernel's bridge supremum when it is called.
 """
 from __future__ import annotations
 
 import io
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
-import numpy as np
-
-from .kernel import deviation
-from .tail_core import as_int, require_level
+from ._checks import as_int, require_level
 
 __all__ = [
     "CriticalValueTable",
@@ -94,21 +93,16 @@ def _levels(levels) -> tuple[float, ...]:
     """``levels`` as a non-empty tuple of floats. It must be a sequence of real numbers: a ``str`` (or ``bytes``),
     which would be read one character at a time, or an element that is not a real number (a ``bool`` too) is a
     ``TypeError`` naming ``levels``."""
-    items = tuple(levels) if np.iterable(levels) and not isinstance(levels, (str, bytes)) else None
+    try:
+        it = None if isinstance(levels, (str, bytes)) else iter(levels)
+    except TypeError:  # not iterable, a 0-d array too
+        it = None
+    items = None if it is None else tuple(it)
     if items is None or not all(isinstance(lv, numbers.Real) and not isinstance(lv, bool) for lv in items):
         raise TypeError(f"levels must be a sequence of real numbers, got {levels!r}")
     if not items:
         raise ValueError("levels must be non-empty")
     return tuple(float(lv) for lv in items)
-
-
-def _sup_deviation(normals: np.ndarray, share: np.ndarray, out: np.ndarray | None = None) -> float:
-    """The bridge supremum of the path of ``normals``, which are summed in place; ``share`` is ``(1..n) / n``, and
-    ``out``, if given, an n-length row for the deviations."""
-    partial = np.add.accumulate(normals, out=normals)
-    d = deviation(partial, share, partial[-1], out)
-    # D(n) = 0, so the larger of max d and -min d is exactly max |d|, without the |d| temporary
-    return float(max(np.maximum.reduce(d), -np.minimum.reduce(d)) / math.sqrt(share.size))
 
 
 def simulate_L(n_points: int, seed=None) -> float:
@@ -118,10 +112,13 @@ def simulate_L(n_points: int, seed=None) -> float:
     deviation of their partial sums from the proportional share of the total,
     scaled by ``1 / sqrt(n_points)``.
     """
-    from .variates import as_generator  # here, so that the analytic critical values do not load the samplers
+    import numpy as np  # here, as are the kernel and the samplers, so that the analytic critical values load none
+
+    from . import kernel, variates
 
     n_points = as_int(n_points, "n_points", 2)
-    return _sup_deviation(as_generator(seed).standard_normal(n_points), np.arange(1, n_points + 1) / n_points)
+    normals = variates.as_generator(seed).standard_normal(n_points)
+    return kernel.sup_deviation(normals, np.arange(1, n_points + 1) / n_points)
 
 
 def mc_critical_values(
@@ -148,17 +145,19 @@ def mc_critical_values(
     n_rep = as_int(n_rep, "n_rep", 100)
     seed = as_int(seed, "seed", 0)
     n_points = as_int(n_points, "n_points", 2)
-    from .variates import _fan, _streams  # here, so that the analytic critical values do not load the samplers
+    import numpy as np  # here, as are the kernel and the samplers, so that the analytic critical values load none
+
+    from . import kernel, variates
 
     share = np.arange(1, n_points + 1) / n_points
     draws = np.empty(n_rep)
 
     def fill(start: int, stop: int) -> None:
         normals, d = np.empty(n_points), np.empty(n_points)
-        for r, rng in zip(range(start, stop), _streams(seed, start, stop)):
-            draws[r] = _sup_deviation(rng.standard_normal(out=normals), share, d)
+        for r, rng in zip(range(start, stop), variates._streams(seed, start, stop)):
+            draws[r] = kernel.sup_deviation(rng.standard_normal(out=normals), share, d)
 
-    _fan(n_rep, fill)
+    variates._fan(n_rep, fill)
     values = tuple(float(q) for q in np.quantile(draws, levels))
     return CriticalValueTable(
         levels=levels,

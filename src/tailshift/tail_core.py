@@ -16,12 +16,12 @@ strict, so duplicated threshold values reduce the excess count below ``k - 1``.
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernel
+from ._checks import as_int, require_real
 
 __all__ = [
     "DegenerateThresholdError",
@@ -83,30 +83,6 @@ def _finite_rows(v: np.ndarray) -> np.ndarray:
 def nonneg_view(x) -> np.ndarray:
     """Absolute values of the finite series ``x`` as a 1-d float array."""
     return np.abs(finite_series(x))
-
-
-def as_int(value, name: str, low: int | None = None) -> int:
-    """``value`` as a Python int of at least ``low``; bools and values of a non-integer type are rejected."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise TypeError(f"{name} must be an integer, got {value!r} of type {type(value).__name__}")
-    value = int(value)
-    if low is not None and value < low:
-        rule = "non-negative" if low == 0 else f"at least {low}"
-        raise ValueError(f"{name} must be {rule}, got {value}")
-    return value
-
-
-def require_real(name: str, value) -> None:
-    """Reject a bool or a value of a non-real type, naming the field."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise TypeError(f"{name} must be a real number, got {value!r} of type {type(value).__name__}")
-
-
-def require_level(level) -> None:
-    """Reject a ``level`` that is not a real number in (0, 1)."""
-    require_real("level", level)
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must lie in (0, 1), got {level}")
 
 
 _UNDEFINED = {  # the text of each status bit ``_at_k`` can raise for, in the order it checks them

@@ -19,7 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .tail_core import _finite_rows, as_int, require_real
+from ._checks import as_int, require_real
+from .tail_core import _finite_rows
 
 __all__ = [
     "AR_BURNIN",

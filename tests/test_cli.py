@@ -728,7 +728,8 @@ def loaded(step, linalg=False):
     assert ("scipy.linalg" in sys.modules) == linalg, step
 
 def stdlib(step):
-    # loaded on first use: csv by the commands that write CSV, json by the structured formats, the thread pool by --mc
+    # loaded on first use: csv by the commands that write CSV, json by the structured formats; concurrent.futures
+    # by none (the paths of --mc run on plain threads)
     for name in ("csv", "json", "concurrent.futures"):
         assert name not in sys.modules, (step, name)
 
@@ -778,9 +779,12 @@ import tailshift
 assert submodules() == [], submodules()
 assert tailshift.__all__ == {names!r}, tailshift.__all__
 tailshift.analytic_critical_values((0.95,))
-assert submodules() == ["tailshift.kernel", "tailshift.null_dist", "tailshift.tail_core"], submodules()
+assert submodules() == ["tailshift._checks", "tailshift.null_dist"], submodules()
+assert "numpy" not in sys.modules  # the analytic critical values are pure math
 tailshift.run_test([5.0, 1.0, 2.0, 3.0, 4.0, 0.5], tailshift.TailTestConfig(k=2))
-assert submodules() == ["tailshift.cusum", "tailshift.kernel", "tailshift.null_dist", "tailshift.tail_core"], submodules()
+assert submodules() == [
+    "tailshift._checks", "tailshift.cusum", "tailshift.kernel", "tailshift.null_dist", "tailshift.tail_core",
+], submodules()
 try:
     tailshift.no_such_name
 except AttributeError as exc:

@@ -166,6 +166,19 @@ def test_block_rows_equal_single_series(rows, n, data):
                         assert got[r].tobytes() == want.tobytes(), (name, phi, adjust, r)
 
 
+@pytest.mark.parametrize("phi", [None, "indicator", "log_excess"])
+@pytest.mark.parametrize("adjust", ["iid", "lag1"])
+def test_an_empty_block_gets_every_requested_field_with_no_rows(phi, adjust):
+    empty = tail_grid(np.empty((0, 100)), [5, 10], phi, adjust)
+    rows = tail_grid(replication_rng(3, 0).standard_t(3.0, (2, 100)), [5, 10], phi, adjust)
+    for name in TailGrid._fields:  # the fields a block with rows gets, with their dtypes
+        want, got = getattr(rows, name), getattr(empty, name)
+        if want is None:
+            assert got is None, name
+        else:
+            assert got.shape == (0, 2) and got.dtype == want.dtype, name
+
+
 def _assert_same_grids(got_grid, want_grid, where):
     for name in TailGrid._fields:
         want, got = getattr(want_grid, name), getattr(got_grid, name)

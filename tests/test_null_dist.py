@@ -1,6 +1,8 @@
 import csv
 import io
+import json
 import math
+import subprocess
 import sys
 
 import numpy as np
@@ -242,10 +244,59 @@ def test_mc_validation():
     lambda: analytic_critical_values([0.9, "0.95"]),
     lambda: mc_critical_values([True], 100, 100, 1),
     lambda: analytic_critical_values(0.95),
+    lambda: analytic_critical_values(np.array(0.95)),  # a 0-d array is not iterable
 ])
 def test_levels_must_be_a_sequence_of_reals(call):
     with pytest.raises(TypeError, match="^levels must be a sequence of real numbers, got "):
         call()
+
+
+def test_an_array_of_levels_is_a_sequence_of_reals():
+    levels = np.array([0.9, 0.95])
+    assert analytic_critical_values(levels) == analytic_critical_values((0.9, 0.95))
+    assert mc_critical_values(levels, 100, 100, 1) == mc_critical_values((0.9, 0.95), 100, 100, 1)
+
+
+# each call of the analytic path and its rejection, or the value it returns, in a process where numpy cannot load
+NO_NUMPY_CALLS = {
+    "analytic_critical_values((0.9, 0.95, 0.99))": None,
+    "analytic_quantile(0.95)": None,
+    "analytic_critical_values((0.95,)).to_delimited()": None,
+    "analytic_critical_values('0.95')": ["TypeError", "levels must be a sequence of real numbers, got '0.95'"],
+    "analytic_critical_values([True])": ["TypeError", "levels must be a sequence of real numbers, got [True]"],
+    "analytic_critical_values(['0.95'])": ["TypeError", "levels must be a sequence of real numbers, got ['0.95']"],
+    "analytic_critical_values([])": ["ValueError", "levels must be non-empty"],
+    "analytic_critical_values([0.95, 1.5])": ["ValueError", "level must lie in (0, 1), got 1.5"],
+    "analytic_critical_values(None)": ["TypeError", "levels must be a sequence of real numbers, got None"],
+    "mc_critical_values('0.95', 100, 100, 1)": ["TypeError", "levels must be a sequence of real numbers, got '0.95'"],
+    "mc_critical_values([0.95, 1.5], 100, 100, 1)": ["ValueError", "level must lie in (0, 1), got 1.5"],
+    "analytic_quantile(1.0)": ["ValueError", "level must lie in (0, 1), got 1.0"],
+    "analytic_quantile(float('nan'))": ["ValueError", "level must lie in (0, 1), got nan"],
+    "analytic_quantile(True)": ["TypeError", "level must be a real number, got True of type bool"],
+    "analytic_quantile('0.95')": ["TypeError", "level must be a real number, got '0.95' of type str"],
+    "analytic_quantile(None)": ["TypeError", "level must be a real number, got None of type NoneType"],
+}
+
+
+def test_the_analytic_path_and_its_rejections_run_without_numpy():
+    script = f"""
+import json, sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+from tailshift.null_dist import analytic_critical_values, analytic_quantile, mc_critical_values
+
+out = {{}}
+for call in {list(NO_NUMPY_CALLS)!r}:
+    try:
+        out[call] = repr(eval(call))
+    except (TypeError, ValueError) as exc:
+        out[call] = [type(exc).__name__, str(exc)]
+print(json.dumps(out))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    for call, error in NO_NUMPY_CALLS.items():
+        assert out[call] == (error or repr(eval(call))), call
 
 
 # ---------------------------------------------------------------------------

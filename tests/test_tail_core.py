@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import hill_oracle, pareto_sample
+from tailshift import kernel
 from tailshift.ar_fit import DegenerateDataError, fit_ar, residual_cusum
 from tailshift.cusum import TailTestConfig, cusum_statistic, deviation_process, run_test
 from tailshift.tail_core import (
@@ -252,15 +253,23 @@ def test_finite_values_whose_sum_overflows_pass_without_warning():
     assert caught == []
 
 
-def test_values_whose_squares_overflow_pass_without_warning():
-    # the decision reads the dot product of the series with itself: 1e200 squared overflows where the sum did not
-    x = 1e200 * replication_rng(4, 1).standard_t(3.0, 1000)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert np.isinf(np.vdot(x, x)) and np.isfinite(np.add.reduce(x))
-        assert np.shares_memory(finite_series(x), x) and np.array_equal(finite_series(x), x)
-        assert _finite_rows(np.stack([x, -x])).shape == (2, 1000)
-        assert run_test(x, TailTestConfig(k=5, phi="log_excess", adjust="lag1")).n == 1000
+def test_a_sum_on_either_side_of_overflow_passes_without_warning(monkeypatch):
+    # the decision reads one sum of the block: 0.1 % below the largest float it is finite and nothing is searched,
+    # 0.1 % above it is inf and the block is searched, which finds every value finite
+    searches = []
+    monkeypatch.setattr(kernel, "reject_non_finite", lambda rows: searches.append(rows.shape))
+    y = 1.0 + np.abs(replication_rng(4, 1).standard_t(3.0, 1000))
+    for factor, searched in ((0.999, 0), (1.001, 1)):
+        x = factor * (np.finfo(float).max / np.add.reduce(y)) * y
+        searches.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore"):
+                assert np.isfinite(x).all() and np.isinf(np.add.reduce(x)) == searched
+            assert np.shares_memory(finite_series(x), x) and np.array_equal(finite_series(x), x)
+            assert _finite_rows(np.stack([x, -x])).shape == (2, 1000)
+            assert run_test(x, TailTestConfig(k=5, phi="log_excess", adjust="lag1")).n == 1000
+        assert searches == [(1, 1000), (1, 1000), (2, 1000)][:3 * searched], factor
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])

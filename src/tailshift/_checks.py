@@ -1,5 +1,10 @@
-"""Argument checks shared by every module; they import no numpy, so the analytic critical values load none."""
+"""Argument checks shared by every module; they import no numpy, so the analytic critical values load none.
+
+The ids of the benchmark grids are here too, so that the CLI can name them without loading the harness.
+"""
 import numbers
+
+TABLE_IDS = tuple(range(2, 11))  # the grids ``experiments.table_specs`` builds
 
 
 def as_int(value, name: str, low: int | None = None) -> int:

@@ -13,23 +13,23 @@ the same syntax and give the same line-numbered messages. Exit codes for the
 test commands: 0 = no change detected, 2 = change detected, 1 = error. The
 ``TAILSHIFT_SEED`` environment variable supplies the default seed; flags
 override it.
+
+Each subcommand imports what it runs when it runs, so ``critical-values``
+loads ``null_dist`` and no numpy, while the test commands, ``tables`` and
+``simulate`` load numpy and their modules on their call. The parser is built
+once per process and reused by every ``main`` call.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
 import warnings
-from dataclasses import asdict
 
-import numpy as np
-
-from .ar_fit import residual_cusum
-from .cusum import TailTestConfig, TestOutcome, run_test
-from .experiments import TABLE_IDS, results_to_csv, results_to_report, sweep, table_specs
+from ._checks import TABLE_IDS
 from .null_dist import _null_nonfinite, analytic_critical_values, mc_critical_values
-from .variates import BurrParams, ChangeSpec, ModelSpec, TDistParams, simulate
 
 # np.loadtxt decompresses these (and fetches URLs) where the loop reads plain text
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
@@ -61,6 +61,8 @@ def read_series(path: str) -> np.ndarray:
 
 def _read_file_fast(path: str) -> np.ndarray | None:
     """The series from numpy's C reader, or None unless it is the loop's result."""
+    import numpy as np
+
     # a pipe or FIFO cannot be read twice, so only a regular file may fall back
     if "://" in path or path.lower().endswith(_COMPRESSED) or not os.path.isfile(path):
         return None
@@ -78,6 +80,8 @@ def _read_file_fast(path: str) -> np.ndarray | None:
 
 def _read_lines(path: str) -> np.ndarray:
     """The reference parser: the only one for stdin and the only one that names lines."""
+    import numpy as np
+
     name = "<stdin>" if path == "-" else path
     stream = sys.stdin if path == "-" else open(path, encoding="utf-8")
     values = []
@@ -110,6 +114,8 @@ def _write(text: str, path: str | None = None) -> None:
 
 def _emit_outcome(outcome: TestOutcome, fmt: str, extra: dict | None = None) -> int:
     """Print ``outcome`` in ``fmt`` and return the exit code: 2 for a detected change, else 0."""
+    from dataclasses import asdict
+
     extra = extra or {}
     record = asdict(outcome)  # the fields in declaration order
     # the diagnostics come last in both formats, after the ar-test extras too
@@ -127,8 +133,10 @@ def _emit_outcome(outcome: TestOutcome, fmt: str, extra: dict | None = None) -> 
 
 
 def cmd_test(args) -> int:
+    from .cusum import TailTestConfig, run_test
+
     x = read_series(args.input)
-    if np.any(x < 0.0):
+    if (x < 0.0).any():
         if args.no_abs:
             raise ValueError("input contains negative values, which --no-abs rejects; "
                              "drop --no-abs to test their absolute values")
@@ -143,6 +151,8 @@ def cmd_test(args) -> int:
 
 
 def cmd_ar_test(args) -> int:
+    from .ar_fit import residual_cusum
+
     method = args.method.replace("-", "_")
     outcome = residual_cusum(
         read_series(args.input),
@@ -178,6 +188,8 @@ def cmd_critical_values(args) -> int:
 
 
 def cmd_tables(args) -> int:
+    from .experiments import results_to_csv, results_to_report, sweep, table_specs
+
     specs = table_specs(
         args.table,
         replications=args.replications,
@@ -202,6 +214,8 @@ def _laws_from_args(args):
 
     A law flag that the model or a missing ``--change-tau`` would leave unused is a usage error.
     """
+    from .variates import BurrParams, TDistParams
+
     law = args.model.split("-")[1]
     required = "nu" if law == "t" else "gamma"
     value = lambda flag: getattr(args, flag[2:].replace("-", "_"))
@@ -229,6 +243,8 @@ def _laws_from_args(args):
 
 
 def cmd_simulate(args) -> int:
+    from .variates import ChangeSpec, ModelSpec, simulate
+
     seed = _seed(args.seed)
     pre, post = _laws_from_args(args)
     model = ModelSpec(args.model.split("-")[0], pre, coef=args.coef)
@@ -238,6 +254,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+@functools.cache  # one parser per process: argparse keeps no state between parses
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="tailshift", description="CUSUM tests for tail-index changes")
     sub = parser.add_subparsers(dest="command", required=True)

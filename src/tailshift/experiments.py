@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._checks import as_int
+from ._checks import TABLE_IDS, as_int
 from .ar_fit import _fit_rows, check_fit_args
 from .cusum import TailTestConfig
 from .kernel import TailGrid, tail_grid
@@ -274,8 +274,6 @@ def results_to_report(results) -> str:
 # ---------------------------------------------------------------------------
 # Benchmark table designs
 # ---------------------------------------------------------------------------
-
-TABLE_IDS = tuple(range(2, 11))
 
 _K_SMALL = tuple(range(10, 101, 10))       # n = 1000
 _K_LARGE = tuple(range(25, 251, 25))       # n = 3000

@@ -4,8 +4,9 @@ The scaled CUSUM statistics converge to ``sup |B(t) - t B(1)|``, whose law is
 the Kolmogorov distribution. Critical values come either from its inverse
 (default: exact, seed-free, solved by Newton's method), or from the Monte Carlo
 recipe that discretizes the bridge as a standard normal partial-sum path.
-The analytic path is pure ``math`` and loads no numpy; the Monte Carlo recipe
-imports numpy and the tail kernel's bridge supremum when it is called.
+The analytic path is pure ``math`` and loads neither numpy nor ``dataclasses``
+(the table is a ``NamedTuple``); the Monte Carlo recipe imports numpy and the
+tail kernel's bridge supremum when it is called.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import io
 import math
 import numbers
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._checks import as_int, require_level
 
@@ -26,9 +27,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CriticalValueTable:
-    """Quantile levels and matching critical values, with their provenance."""
+class CriticalValueTable(NamedTuple):
+    """Quantile levels and matching critical values, with their provenance: an immutable tuple of the three."""
 
     levels: tuple[float, ...]
     values: tuple[float, ...]

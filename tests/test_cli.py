@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import kolmogorov
 
-from tailshift import cli, experiments
+from tailshift import cli, cusum, experiments
 from tailshift.ar_fit import residual_cusum
 from tailshift.cli import main, read_series
 from tailshift.cusum import TailTestConfig, run_test
@@ -249,7 +249,7 @@ def test_bugs_propagate_out_of_main(tmp_path, monkeypatch):
     def bug(*args):
         raise IndexError("index 9 is out of bounds")
 
-    monkeypatch.setattr(cli, "run_test", bug)
+    monkeypatch.setattr(cusum, "run_test", bug)  # where cmd_test imports it from
     with pytest.raises(IndexError, match="index 9"):
         main(["test", write(tmp_path, HAND), "--k", "2"])
 
@@ -417,6 +417,76 @@ def test_critical_values_reads_env_seed_only_under_mc(monkeypatch, capsys):
     assert "mc(paths=10,reps=100,seed=4)" in capsys.readouterr().out
 
 
+def test_critical_values_runs_without_numpy_or_dataclasses():
+    # the analytic command imports neither, so blocking them changes no output; --mc still loads numpy on its call
+    script = """
+import contextlib, io, json, sys
+if sys.argv[1] == "blocked":
+    sys.modules["numpy"] = sys.modules["dataclasses"] = None  # any import of either now raises ImportError
+from tailshift import cli
+
+out = []
+for argv in (["critical-values"], ["critical-values", "--levels", "0.95"], ["critical-values", "--levels", "1.5"]):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        out.append([cli.main(argv), stdout.getvalue(), stderr.getvalue()])
+out.append(sorted(m for m in sys.modules if m.startswith("tailshift.")))
+if sys.argv[1] == "unblocked":
+    with contextlib.redirect_stdout(io.StringIO()):
+        out.append(cli.main(["critical-values", "--mc", "--paths", "10", "--reps", "100"]))
+print(json.dumps(out))
+"""
+    runs = {}
+    for mode in ("blocked", "unblocked"):
+        proc = subprocess.run([sys.executable, "-c", script, mode], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        runs[mode] = json.loads(proc.stdout)
+    assert runs["unblocked"][-1] == 0  # --mc
+    assert runs["blocked"] == runs["unblocked"][:-1]
+    default, single, rejected, modules = runs["blocked"]
+    assert default[0] == single[0] == 0 and single[1].endswith(",analytic\n") and len(csv_rows(default[1])) == 4
+    assert rejected == [1, "", "error: level must lie in (0, 1), got 1.5\n"]
+    assert modules == ["tailshift._checks", "tailshift.cli", "tailshift.null_dist"]
+
+
+def test_one_parser_serves_every_call_as_a_fresh_one_would(tmp_path, monkeypatch, capsys):
+    # main reuses one cached parser; no parse may leave a value or default behind for the next
+    series, signed = write(tmp_path, HAND), write(tmp_path, "-1\n" + HAND, "signed.txt")
+    burr = ["simulate", "--model", "iid-burr", "--lam", "1", "--gamma", "-1", "--n", "5"]
+    calls = [
+        ("1", ["test", signed, "--k", "2", "--no-abs"]),
+        ("1", ["test", signed, "--k", "2"]),
+        ("1", ["critical-values", "--mc", "--paths", "20", "--reps", "100", "--seed", "3"]),
+        ("4", ["critical-values", "--mc", "--paths", "20", "--reps", "100"]),
+        ("4", ["critical-values", "--levels", "0.95"]),
+        ("4", ["critical-values"]),
+        ("4", ["critical-values", "--seed", "3"]),
+        ("5", burr + ["--seed", "2"]),
+        ("5", burr),
+        ("6", burr),
+        ("6", ["test", series, "--k", "2", "--format", "structured"]),
+        ("6", ["test", series, "--k", "2"]),
+        ("6", ["test", series]),
+        ("6", ["critical-values", "--help"]),
+    ]
+
+    def run(fresh):
+        results = []
+        for seed, argv in calls:
+            monkeypatch.setenv("TAILSHIFT_SEED", seed)
+            if fresh:
+                cli.build_parser.cache_clear()
+            code = main(argv)
+            results.append((code, *capsys.readouterr()))
+        return results
+
+    shared = run(fresh=False)
+    assert shared == run(fresh=True)
+    assert cli.build_parser() is cli.build_parser()
+    assert [code for code, _, _ in shared] == [1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0]
+    assert shared[2][1] != shared[3][1] and shared[8][1] != shared[9][1]  # each seed reached its call
+
+
 def test_critical_values_mc_defaults_paths_and_reps(capsys):
     for flags, source in ((["--paths", "10"], "mc(paths=10,reps=10000,seed=0)"),
                           (["--reps", "100"], "mc(paths=10000,reps=100,seed=0)")):
@@ -461,7 +531,7 @@ def test_a_cell_without_an_ok_replication_is_null_in_the_report(tmp_path, capsys
     # 12 points leave 3 residuals of an AR(9) fit, too few for k = 10 in every replication
     spec = experiments.SimulationSpec(model=ModelSpec("iid", BurrParams.from_alpha(2.0, -2.0)), n=12, k_grid=(10,),
                                       test="ar_residual", ar_order=9, replications=3)
-    monkeypatch.setattr(cli, "table_specs", lambda *args, **kwargs: [spec])
+    monkeypatch.setattr(experiments, "table_specs", lambda *args, **kwargs: [spec])
     grid, report = tmp_path / "grid.csv", tmp_path / "report.json"
     assert main(["tables", "--table", "9", "--out", str(grid), "--report", str(report)]) == 0
     (row,) = json.loads(report.read_text(), parse_constant=no_constant)["results"][0]["rows"]

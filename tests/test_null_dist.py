@@ -257,7 +257,8 @@ def test_an_array_of_levels_is_a_sequence_of_reals():
     assert mc_critical_values(levels, 100, 100, 1) == mc_critical_values((0.9, 0.95), 100, 100, 1)
 
 
-# each call of the analytic path and its rejection, or the value it returns, in a process where numpy cannot load
+# each call of the analytic path and its rejection, or the value it returns, in a process where neither numpy
+# nor dataclasses can load
 NO_NUMPY_CALLS = {
     "analytic_critical_values((0.9, 0.95, 0.99))": None,
     "analytic_quantile(0.95)": None,
@@ -281,7 +282,7 @@ NO_NUMPY_CALLS = {
 def test_the_analytic_path_and_its_rejections_run_without_numpy():
     script = f"""
 import json, sys
-sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+sys.modules["numpy"] = sys.modules["dataclasses"] = None  # any import of either now raises ImportError
 from tailshift.null_dist import analytic_critical_values, analytic_quantile, mc_critical_values
 
 out = {{}}
@@ -317,6 +318,23 @@ def test_analytic_table_and_delimited_export():
         assert got_source == "analytic"
     with pytest.raises(ValueError, match="^levels must be non-empty$"):
         analytic_critical_values([])
+
+
+def test_the_table_keeps_its_public_behaviour():
+    values = (1.2238478702170825, 1.3580986393225505)
+    table = CriticalValueTable(levels=(0.9, 0.95), values=values, source="analytic")
+    positional = CriticalValueTable((0.9, 0.95), values, "analytic")
+    assert positional is not table and positional == table == analytic_critical_values((0.9, 0.95))
+    assert hash(positional) == hash(table)
+    assert repr(table) == ("CriticalValueTable(levels=(0.9, 0.95), values=(1.2238478702170825, 1.3580986393225505), "
+                           "source='analytic')")
+    for name in ("levels", "values", "source"):
+        with pytest.raises(AttributeError):
+            setattr(table, name, ())
+    assert table != CriticalValueTable(levels=(0.9, 0.95), values=values, source="mc(paths=2,reps=100,seed=0)")
+    assert table.to_delimited() == (
+        "level,critical_value,source\n0.9,1.2238478702170825,analytic\n0.95,1.3580986393225505,analytic\n"
+    )
 
 
 def test_table_dataclass_roundtrip():

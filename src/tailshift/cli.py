@@ -53,13 +53,13 @@ def _seed(flag: int | None) -> int:
         raise ValueError(f"TAILSHIFT_SEED must be an integer, got {raw!r}") from None
 
 
-def read_series(path: str) -> np.ndarray:
-    """Parse one finite real per line; blank lines and '#' comments are ignored."""
+def read_series(path: str):
+    """Parse one finite real per line into a float array; blank lines and '#' comments are ignored."""
     x = None if path == "-" else _read_file_fast(path)
     return _read_lines(path) if x is None else x
 
 
-def _read_file_fast(path: str) -> np.ndarray | None:
+def _read_file_fast(path: str):
     """The series from numpy's C reader, or None unless it is the loop's result."""
     import numpy as np
 
@@ -78,8 +78,8 @@ def _read_file_fast(path: str) -> np.ndarray | None:
     return x.ravel()
 
 
-def _read_lines(path: str) -> np.ndarray:
-    """The reference parser: the only one for stdin and the only one that names lines."""
+def _read_lines(path: str):
+    """The float array of the reference parser: the only one for stdin and the only one that names lines."""
     import numpy as np
 
     name = "<stdin>" if path == "-" else path
@@ -112,8 +112,8 @@ def _write(text: str, path: str | None = None) -> None:
         fh.write(text)
 
 
-def _emit_outcome(outcome: TestOutcome, fmt: str, extra: dict | None = None) -> int:
-    """Print ``outcome`` in ``fmt`` and return the exit code: 2 for a detected change, else 0."""
+def _emit_outcome(outcome, fmt: str, extra: dict | None = None) -> int:
+    """Print ``outcome``, a ``TestOutcome``, in ``fmt`` and return the exit code: 2 for a detected change, else 0."""
     from dataclasses import asdict
 
     extra = extra or {}

@@ -145,8 +145,8 @@ def run_table(spec: SimulationSpec) -> TableResult:
 
     for start in range(0, spec.replications, _BLOCK):
         rngs = _streams(spec.seed, start, min(start + _BLOCK, spec.replications))
-        # the runs' grids in row order, so the sums still run in replication order; a run left without rows has None
-        for grid in filter(None, _fan(len(rngs), lambda a, b: _block_grid(spec, ks, rngs[a:b]))):
+        # the runs' grids in row order, so the sums still run in replication order
+        for grid in _fan(len(rngs), lambda a, b: _block_grid(spec, ks, rngs[a:b])):
             ok = grid.status == 0
             ok_count += np.add.reduce(ok, axis=0)
             rejects += np.add.reduce((grid.scale * grid.statistic >= critical) & ok, axis=0)
@@ -170,15 +170,15 @@ def run_table(spec: SimulationSpec) -> TableResult:
     return TableResult(spec=spec, rows=tuple(rows))
 
 
-def _block_grid(spec: SimulationSpec, ks: np.ndarray, rngs) -> TailGrid | None:
+def _block_grid(spec: SimulationSpec, ks: np.ndarray, rngs) -> TailGrid:
     """The kernel grid of the replications of ``rngs``: of their paths, or of the AR residuals of those that
     have a fit (a row without one is an error at every k; a residual that overflows is the kernel's error).
-    None when no row is left."""
+    With no row left, every field is ``(0, K)``."""
     block = _simulate_rows(spec.model, spec.n, rngs, spec.change)
     if spec.test == "ar_residual":
         _, block, unfit = _fit_rows(block, spec.ar_order, spec.ar_method)
         block = np.delete(block, list(unfit), axis=0) if unfit else block
-    return tail_grid(block, ks, spec.phi, spec.adjust) if len(block) else None
+    return tail_grid(block, ks, spec.phi, spec.adjust)
 
 
 def _add_in_order(running: np.ndarray, rows: np.ndarray, ok: np.ndarray) -> np.ndarray:

@@ -3,16 +3,17 @@
 :func:`tail_grid` takes one series, shape ``(n,)``, or a block of series, shape
 ``(R, n)``, whose absolute values it reads, and an integer grid ``ks``; its
 fields have shape ``(K,)`` or ``(R, K)``. It selects the top ``max(k) + 1``
-values of each series and sorts only those. A long single series is read in
-place: it is cut, one fixed chunk at a time, to its values not strictly inside
-``(-c, c)`` for a bound ``c``, read off a sample of ``max(k) + 1`` runs of 8
-contiguous values, that ``max(k) + 1`` of them reach (so none is lost), and
-only those are folded into the kernel's own arrays; its log-excess totals are
-summed from its exceedances alone, in numpy's pairwise order of the whole row.
-A short series or a block with a value that is not positive is folded into a
-copy of its own. Every NaN and infinite value is in what is sorted, and NaN
-sorts last, so the kernel rejects non-finite input from its sorted top alone,
-without a pass of its own.
+values of each series and sorts only those. A long single series with a small
+``max(k)`` is read in place: it is cut, one fixed chunk at a time, to its
+values not strictly inside ``(-c, c)`` for a bound ``c``, read off a sample of
+``max(k) + 1`` runs of 8 contiguous values, that ``max(k) + 1`` of them reach
+(so none is lost), and only those are folded into the kernel's own arrays.
+Every other series, and every block, is folded whole into a copy of its own,
+which later holds the log-excess row. The log-excess totals of a series of at
+least ``_CHUNK`` values are summed from its exceedances alone, in numpy's
+pairwise order of the whole row. Every NaN and infinite value is in what is
+sorted, and NaN sorts last, so the kernel rejects non-finite input from its
+sorted top alone, without a pass of its own.
 For all k at once it evaluates the thresholds (the k-th largest values), the exceedances over
 them and their log sizes (on the m values above the smallest threshold only),
 the statistic with its first maximizer, the Hill estimate over the (k+1)-th
@@ -141,10 +142,7 @@ def tail_grid(x: np.ndarray, ks, phi: str | None = None, adjust: str = "iid") ->
     kmax = int(np.maximum.reduce(kk))
     # Only the top kmax + 1 values are read: sort a copy of them out of the partition (freed at once).
     pos, pool = _pool(x, kmax)
-    v = x  # a long series is folded only at its hits, by _segments
-    if pos is None:  # all of x: folded into a copy, later the log-excess row, only if a value is not positive
-        positive = np.minimum.reduce(x[..., :64], axis=None, initial=np.inf) > 0.0  # one in the first 64 spares a pass
-        v = pool = x if positive and np.minimum.reduce(x, axis=None, initial=np.inf) > 0.0 else np.abs(x)
+    v = x if pos is not None else pool  # a sampled series is folded only at its hits, by _segments
     srt = np.sort(np.partition(pool, -kmax - 1)[..., -kmax - 1:])[..., ::-1]
     # NaN sorts last and the pool holds every NaN and infinite value: a row is finite exactly when its top is
     if not np.isfinite(srt[..., 0]).all():
@@ -170,16 +168,14 @@ def tail_grid(x: np.ndarray, ks, phi: str | None = None, adjust: str = "iid") ->
         return TailGrid(**out)
 
     # NaN in place of inf: the scalings below then stay NaN instead of meeting
-    # inf * 0 (the indicator scaling without lag 1 reads no alpha_hat)
-    finite_alpha = alpha_hat
-    if phi == "log_excess" or lag1:
-        finite_alpha = np.where(np.isinf(alpha_hat), np.nan, alpha_hat)
+    # inf * 0 (the indicator scaling without lag 1 reads only its shape)
+    finite_alpha = np.where(np.isinf(alpha_hat), np.nan, alpha_hat)
     # Every row's exceedances lie among its m values above its smallest threshold; the per-k
     # work runs on those (..., K, m) columns only. Ties give rows different m: padding to one m
     # would regroup the pairwise sums, so the rows of each m go together.
     if v.ndim == 1:
         hits = (pool > srt[kmax - 1]).nonzero()[0] if pos is None else pos[pool > srt[kmax - 1]]
-        sums = _segments(v, hits, threshold, kk, finite_alpha, phi, adjust, v is not x)
+        sums = _segments(v, hits, threshold, kk, finite_alpha, phi, adjust)
     else:
         above = v > srt[:, kmax - 1, None]  # each series' values above its smallest threshold
         counts = np.add.reduce(above, axis=-1)
@@ -187,7 +183,7 @@ def tail_grid(x: np.ndarray, ks, phi: str | None = None, adjust: str = "iid") ->
         for m in np.unique(counts) if counts.size else [0]:  # an empty block still gets every field, (0, K)
             rows = (counts == m).nonzero()[0]
             hits = above[rows].ravel().nonzero()[0].reshape(rows.size, m)
-            part = _segments(v[rows], hits, threshold[rows], kk, finite_alpha[rows], phi, adjust, True)
+            part = _segments(v[rows], hits, threshold[rows], kk, finite_alpha[rows], phi, adjust)
             for name, value in part.items():
                 sums.setdefault(name, np.empty(threshold.shape, value.dtype))[rows] = value
     return TailGrid(**out, **sums)
@@ -203,19 +199,20 @@ def reject_non_finite(rows: np.ndarray) -> None:
 
 def _pool(x: np.ndarray, kmax: int) -> tuple[np.ndarray | None, np.ndarray]:
     """Positions (ascending) and absolute values of the part of ``x`` that holds the top ``kmax + 1`` of ``|x|``
-    and every NaN and infinite value.
+    and every NaN and infinite value; the kernel's one choice between reading ``x`` in place and folding it.
 
-    Shorter series and blocks give ``(None, x)``: all of ``x``, unfolded. A long series is sampled in
+    A series of at least ``_CHUNK`` values whose stride ``n // (8 * (kmax + 1))`` is at least 16 is sampled in
     ``kmax + 1`` evenly spaced runs of 8 contiguous values (one cache line each). It keeps its values at least
     the g-th largest of the folded sample (a guess at the 2(kmax+1)-th largest of ``|x|``) if kmax + 1 of them
     reach it, else at least the sample's (kmax+1)-th. It is scanned in chunks of ``_CHUNK`` values for the
     values not strictly inside ``(-c, c)``: those with ``|x| >= c``, and every NaN and infinite value for any
-    bound ``c``. No folded copy of ``x`` is made.
+    bound ``c``; no folded copy of it is made. Every other input (a shorter series, a ``kmax`` above about
+    n/128, a block) gives ``(None, np.abs(x))``: all of ``x``, folded into the kernel's own copy.
     """
     n = x.shape[-1]
     s = n // (8 * (kmax + 1))
-    if s < 16 or n < 2**15 or x.ndim > 1:
-        return None, x
+    if s < 16 or n < _CHUNK or x.ndim > 1:
+        return None, np.abs(x)
     g = 2 * (kmax + 1) // s + 1
     # the sample's kmax + 1 largest, the least first
     top = np.partition(np.abs(x[:n - n % (kmax + 1)].reshape(kmax + 1, -1)[:, :8]), -kmax - 1, None)[-kmax - 1:]
@@ -226,15 +223,15 @@ def _pool(x: np.ndarray, kmax: int) -> tuple[np.ndarray | None, np.ndarray]:
             return pos, np.abs(x.take(pos))
 
 
-def _segments(v, hits, threshold, kk, finite_alpha, phi, adjust, spare: bool) -> dict:
+def _segments(v, hits, threshold, kk, finite_alpha, phi, adjust) -> dict:
     """Lag-1 inflations, statistic and scaling of one series or a block sharing m; ``hits`` index its data,
-    whose absolute values are read. With ``spare``, ``v`` is the kernel's own copy and is overwritten once
-    its values at ``hits`` are read."""
+    whose absolute values are read. A block or a series shorter than ``_CHUNK`` is the kernel's own copy and
+    holds the log-excess row once its values at ``hits`` are read; a longer series is only read."""
     n = v.shape[-1]
     lead = () if v.ndim == 1 else (np.arange(len(v))[:, None],)  # each column's row in a block
     idx = hits - n * lead[0] if lead else hits  # the columns' positions in their series
     top = v.take(hits)[..., None, :]
-    np.abs(top, out=top)  # a long series is signed (in place: one more array here slowed the block path)
+    np.abs(top, out=top)  # a sampled series is signed (in place: one more array here slowed the block path)
     exceed = top > threshold[..., None]
     sizes = excess_sizes(top, threshold) if phi == "log_excess" or adjust == "lag1" else None
     sums = {}
@@ -258,18 +255,17 @@ def _segments(v, hits, threshold, kk, finite_alpha, phi, adjust, spare: bool) ->
     ends[..., :-1, 1] = idx
     if phi == "indicator":
         total = partial[..., -1, 0]  # an exact count
-    elif spare or n < _CHUNK:
+    elif v.ndim > 1 or n < _CHUNK:
         # np.add.reduce of the full-length row, in numpy's pairwise order, fixes the rounding of D;
-        # one array of rows (the kernel's copy, or a short new one) is reused for every k
-        row = v if spare else np.empty(v.shape)
-        row.fill(0.0)
+        # the kernel's copy is that row for every k
+        v.fill(0.0)
         total = np.empty(threshold.shape)
         for j in range(kk.size):
-            row.reshape(-1)[hits] = values[..., j, :]
-            total[..., j] = np.add.reduce(row, axis=-1)
+            v.reshape(-1)[hits] = values[..., j, :]
+            total[..., j] = np.add.reduce(v, axis=-1)
     else:
-        # a long series read in place: the same sums from its exceedances alone, in the same order (this relies
-        # on np.add.reduce keeping that order, which test_pairwise_total_is_numpys_row_sum pins)
+        # a long series: the same sums from its exceedances alone, in the same order (this relies on
+        # np.add.reduce keeping that order, which test_pairwise_total_is_numpys_row_sum pins)
         total = _pairwise_total(n, idx, values)
 
     # On a segment S is constant and (l / n) * total grows with l, strictly

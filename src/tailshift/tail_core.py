@@ -6,8 +6,9 @@ formulas and the only sort, through one entry, ``_at_k``: it views the
 series, checks ``k``, evaluates a one-element k grid and raises for the
 status bits of the degeneracies the caller's statistic cannot evaluate. The
 kernel rejects a NaN or infinite value from its own scan and sort, so the test
-path reads the series once; ``_finite_rows``, which the simulated paths pass
-through, decides with one sum of the block instead (no BLAS call).
+path reads the series once; ``_finite_rows``, which the simulated paths and
+``nonneg_view`` pass through, decides with one sum of the block instead (no
+BLAS call).
 
 All operations act on the absolute values of the data, so signed series such
 as regression residuals are handled transparently. Thresholds are order
@@ -62,11 +63,6 @@ def _real_series(x) -> np.ndarray:
     return v
 
 
-def finite_series(x) -> np.ndarray:
-    """:func:`_real_series` of ``x``; NaN and infinite values are rejected with the index of the first one."""
-    return _finite_rows(_real_series(x)[None])[0]
-
-
 def _finite_rows(v: np.ndarray) -> np.ndarray:
     """The ``(R, n)`` block of series ``v``; a NaN or infinite value is rejected with its index in its series.
 
@@ -81,8 +77,9 @@ def _finite_rows(v: np.ndarray) -> np.ndarray:
 
 
 def nonneg_view(x) -> np.ndarray:
-    """Absolute values of the finite series ``x`` as a 1-d float array."""
-    return np.abs(finite_series(x))
+    """Absolute values of the finite series ``x`` as a 1-d float array; a NaN or infinite value is rejected with
+    the index of the first one."""
+    return np.abs(_finite_rows(_real_series(x)[None])[0])
 
 
 _UNDEFINED = {  # the text of each status bit ``_at_k`` can raise for, in the order it checks them

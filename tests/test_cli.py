@@ -873,6 +873,34 @@ for name in tailshift.__all__:
     assert proc.returncode == 0, proc.stderr
 
 
+def test_every_annotation_resolves():
+    # typing.get_type_hints on every function, class and method of every module; cli's resolve without numpy
+    script = """
+import importlib, inspect, pkgutil, sys, typing
+import tailshift
+from tailshift import cli
+
+def hints(module):  # the names of the module's own functions, classes and methods, once each one's hints resolve
+    names = []
+    for obj in vars(module).values():
+        if getattr(obj, "__module__", None) == module.__name__ and callable(obj):
+            methods = [m for m in vars(obj).values() if inspect.isfunction(m)] if inspect.isclass(obj) else []
+            for member in [obj, *methods]:
+                typing.get_type_hints(member)
+                names.append(member.__qualname__)
+    return names
+
+assert "read_series" in hints(cli) and "_emit_outcome" in hints(cli)
+assert "numpy" not in sys.modules
+for info in pkgutil.iter_modules(tailshift.__path__):
+    module = importlib.import_module(f"tailshift.{info.name}")
+    assert hints(module), module
+assert "TailGrid" in hints(sys.modules["tailshift.kernel"])
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_read_series_rejects_non_finite_with_line_number(tmp_path):
     path = write(tmp_path, "# header\n1\n\n2\n# note\nnan\n4\n")
     with pytest.raises(ValueError, match="line 6: nan is not a finite number"):

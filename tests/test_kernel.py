@@ -189,14 +189,19 @@ def _assert_same_grids(got_grid, want_grid, where):
 
 
 def test_signed_input_is_folded_into_a_copy_of_its_own():
-    # a signed series or block is folded by the kernel into a copy, which then holds the log-excess row:
-    # the grid equals that of the absolute values bit for bit, and neither input is written
+    # a series or block that is not sampled is folded by the kernel into a copy, which then holds the log-excess
+    # row (a sampled one only at its hits): the grid equals that of the absolute values bit for bit, and neither
+    # input is written
     rng = np.random.default_rng(11)
-    for x in (rng.standard_t(3, 2**15 + 7), rng.standard_t(3, 60), rng.standard_t(3, (3, 60)),
-              np.array([2.0, -0.0, 0.0, 1.0, 3.0]), np.r_[np.full(64, 2.0), 3.0, -1.0, 0.5],
-              np.r_[np.full(64, 2.0), -5.0, 1.0]):  # the first 64 are positive, the largest |x| is not
+    cases = [(x, 40) for x in (rng.standard_t(3, 2**15 + 7), rng.standard_t(3, 60), rng.standard_t(3, (3, 60)),
+                               np.array([2.0, -0.0, 0.0, 1.0, 3.0]), np.r_[np.full(64, 2.0), 3.0, -1.0, 0.5],
+                               np.r_[np.full(64, 2.0), -5.0, 1.0])]  # the first 64 are positive, the largest |x| is not
+    wide = rng.standard_t(3, 3 * CHUNK + 1)  # k above n // 128, a stride under 16: a long series folded whole
+    assert kernel._pool(wide, 800)[0] is None
+    cases += [(wide, 800), (np.abs(wide), 800)]
+    for x, top in cases:
         signed, folded = x.copy(), np.abs(x)
-        ks = [1, 2, min(x.shape[-1] - 1, 40)]
+        ks = [1, 2, min(x.shape[-1] - 1, top)]
         for phi in (None, "indicator", "log_excess"):
             for adjust in ("iid", "lag1"):
                 _assert_same_grids(tail_grid(x, ks, phi, adjust), tail_grid(folded, ks, phi, adjust), (phi, adjust))
@@ -329,9 +334,11 @@ def test_long_signed_series_is_read_without_a_copy():
 def test_short_series_and_blocks_are_not_sampled():
     # below 2**15 values, or with a stride under 16, one partition of the whole series is cheaper
     rng = np.random.default_rng(4)
-    assert kernel._pool(rng.random(2**15 - 1), 1)[0] is None
-    assert kernel._pool(rng.random(2**15), 2**15 // 128)[0] is None
-    assert kernel._pool(rng.random((2, 2**16)), 1)[0] is None
+    for x, kmax in ((rng.random(2**15 - 1), 1), (rng.random(2**15), 2**15 // 128), (rng.random((2, 2**16)), 1)):
+        for y in (x, 0.5 - x):  # positive and signed: either is folded into the kernel's own copy
+            pos, pool = kernel._pool(y, kmax)
+            assert pos is None
+            assert not np.shares_memory(pool, y) and pool.tobytes() == np.abs(y).tobytes()
     assert kernel._pool(rng.random(2**15), 2**15 // 128 - 1)[0] is not None
 
 
@@ -464,14 +471,21 @@ def test_log_excess_total_is_the_full_length_row_sum():
     # the hits: over the row itself for short series and blocks, and from the hits for a long series
     rng = np.random.default_rng(5)
     ks = [10, 50, 100]
-    for x in (rng.standard_t(3, 1000), rng.standard_t(3, (3, 500)), rng.standard_t(3, 3 * CHUNK + 1),
-              rng.standard_t(3, 10**6)):
-        assert (kernel._pool(x, max(ks))[0] is None) == (x.size < CHUNK)  # the long series are read in place
+    cases = [(x, ks) for x in (rng.standard_t(3, 1000), rng.standard_t(3, (3, 500)), rng.standard_t(3, 3 * CHUNK + 1),
+                               rng.standard_t(3, 10**6))]
+    wide = rng.standard_t(3, 3 * CHUNK + 1)  # k above n // 128, a stride under 16: folded whole, summed from its hits
+    cases += [(wide, [10, 100, 800]), (np.abs(wide), [10, 100, 800])]
+    for x, ks in cases:
+        sampled = x.ndim == 1 and x.size >= CHUNK and max(ks) < x.size // 128
+        assert (kernel._pool(x, max(ks))[0] is not None) == sampled  # the sampled long series are read in place
+        signed = x.copy()
         grid = tail_grid(x, ks, "log_excess")
         v = np.abs(x)
         for j in range(len(ks)):
             t = grid.threshold[..., j, None]
             assert grid.total[..., j].tobytes() == np.add.reduce(np.log(np.maximum(v, t) / t), axis=-1).tobytes()
+        _assert_same_grids(grid, tail_grid(v, ks, "log_excess"), x.shape)
+        assert x.tobytes() == signed.tobytes()
 
 
 def test_total_hand_cases():

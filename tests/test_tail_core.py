@@ -15,9 +15,9 @@ from tailshift.tail_core import (
     DegenerateThresholdError,
     _at_k,
     _finite_rows,
+    _real_series,
     estimate_chi,
     estimate_omega,
-    finite_series,
     hill,
     nonneg_view,
 )
@@ -244,7 +244,7 @@ def test_finite_values_whose_sum_overflows_pass_without_warning():
     x[::7] *= -1.0
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert np.array_equal(finite_series(x), x)
+        assert np.array_equal(_finite_rows(x[None])[0], x)
         assert np.array_equal(nonneg_view(x), np.abs(x))
         assert _finite_rows(np.stack([x, -x])).shape == (2, 50)
         assert run_test(x, TailTestConfig(k=5)).n == 50
@@ -266,7 +266,7 @@ def test_a_sum_on_either_side_of_overflow_passes_without_warning(monkeypatch):
             warnings.simplefilter("error")
             with np.errstate(over="ignore"):
                 assert np.isfinite(x).all() and np.isinf(np.add.reduce(x)) == searched
-            assert np.shares_memory(finite_series(x), x) and np.array_equal(finite_series(x), x)
+            assert np.shares_memory(_finite_rows(x[None])[0], x) and np.array_equal(_finite_rows(x[None])[0], x)
             assert _finite_rows(np.stack([x, -x])).shape == (2, 1000)
             assert run_test(x, TailTestConfig(k=5, phi="log_excess", adjust="lag1")).n == 1000
         assert searches == [(1, 1000), (1, 1000), (2, 1000)][:3 * searched], factor
@@ -277,7 +277,7 @@ def test_a_non_finite_value_is_named_at_the_end_of_a_long_series_and_in_a_later_
     x = replication_rng(5, 0).standard_t(3.0, 2**20)
     x[-1] = bad
     with pytest.raises(ValueError, match=f"^series contains a non-finite value at index {2**20 - 1} \\({bad!r}\\)$"):
-        finite_series(x)
+        _finite_rows(x[None])[0]
     block = replication_rng(5, 1).standard_t(3.0, (3, 500))
     block[1, 321], block[2, 7] = bad, np.nan  # the first row that holds one is named
     with pytest.raises(ValueError, match=f"^series contains a non-finite value at index 321 \\({bad!r}\\)$"):
@@ -288,10 +288,10 @@ def test_a_non_finite_value_is_named_at_the_end_of_a_long_series_and_in_a_later_
 def test_a_strided_view_is_checked_in_place(bad):
     x = replication_rng(5, 2).standard_t(3.0, 2**16)
     x[2 * 1000 + 1] = bad  # outside the view x[::2]
-    assert np.shares_memory(finite_series(x[::2]), x)
+    assert np.shares_memory(_finite_rows(x[::2][None])[0], x)
     x[2 * 1000] = bad
     with pytest.raises(ValueError, match=f"^series contains a non-finite value at index 1000 \\({bad!r}\\)$"):
-        finite_series(x[::2])
+        _finite_rows(x[::2][None])[0]
 
 
 @pytest.mark.parametrize("kind", ["complex128", "complex64", "list", "zero imaginary part"])
@@ -314,7 +314,7 @@ def test_complex_input_is_a_type_error_naming_its_dtype(entry, kind):
 
 def test_a_float64_series_is_viewed_not_copied():
     x = replication_rng(3, 0).standard_t(3.0, 60)
-    assert np.shares_memory(finite_series(x), x)
+    assert np.shares_memory(_finite_rows(_real_series(x)[None])[0], x)
 
 
 # ---------------------------------------------------------------------------

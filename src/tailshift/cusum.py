@@ -101,17 +101,18 @@ def deviation_process(x, k: int, phi: str = "indicator") -> np.ndarray:
     """Partial deviations ``D(l)`` of the transformed exceedances, ``l = 1..n``.
 
     ``D(l)`` is the sum of the first ``l`` transformed values minus ``l/n``
-    times their total, so ``D(n) = 0`` up to rounding. The threshold is the
-    k-th largest absolute value and must be positive for the log transform.
+    times their total, the last of those sums, so ``D(n) = 0`` exactly. The
+    threshold is the k-th largest absolute value and must be positive for the
+    log transform.
     """
     _check_phi(phi)
     v, grid = _at_k(x, k, phi, needs=kernel.ZERO_THRESHOLD if phi == "log_excess" else 0)
-    v, t = np.abs(v), grid.threshold
-    hits = (v > t[0]).nonzero()[0]
+    t = grid.threshold
+    hits = ((v > t[0]) | (v < -t[0])).nonzero()[0]  # |v| > t, with only the exceedances folded
     # the running sums of the kernel's transformed exceedances, held from each one to the next
-    values = kernel.excess_sizes(v[hits], t)[0] if phi == "log_excess" else np.ones(hits.size)
+    values = kernel.excess_sizes(np.abs(v[hits]), t)[0] if phi == "log_excess" else np.ones(hits.size)
     running = np.repeat(np.concatenate([[0.0], np.cumsum(values)]), np.diff(hits, prepend=0, append=v.size))
-    return kernel.deviation(running, np.arange(1, v.size + 1) / v.size, grid.total[0])
+    return kernel.deviation(running, np.arange(1.0, v.size + 1.0) / v.size, grid.total[0])
 
 
 def cusum_statistic(x, k: int, phi: str = "indicator") -> tuple[float, int]:

@@ -9,9 +9,7 @@ values not strictly inside ``(-c, c)`` for a bound ``c``, read off a sample of
 ``max(k) + 1`` runs of 8 contiguous values, that ``max(k) + 1`` of them reach
 (so none is lost), and only those are folded into the kernel's own arrays.
 Every other series, and every block, is folded whole into a copy of its own,
-which later holds the log-excess row. The log-excess totals of a series of at
-least ``_CHUNK`` values are summed from its exceedances alone, in numpy's
-pairwise order of the whole row. Every NaN and infinite value is in what is
+which the kernel only reads. Every NaN and infinite value is in what is
 sorted, and NaN sorts last, so the kernel rejects non-finite input from its
 sorted top alone, without a pass of its own.
 For all k at once it evaluates the thresholds (the k-th largest values), the exceedances over
@@ -19,7 +17,9 @@ them and their log sizes (on the m values above the smallest threshold only),
 the statistic with its first maximizer, the Hill estimate over the (k+1)-th
 largest value, the lag-1 inflations and the scaling. The deviation process
 ``D(l)`` moves only at the exceedances and is monotone between them, so the
-statistic reads ``D`` at the at most ``2m + 2`` segment ends. Only m depends on
+statistic reads ``D`` at the at most ``2m + 2`` segment ends. The total is the
+last running sum, added in series order as in :func:`sup_deviation`, so
+``D(n) = 0`` exactly. Only m depends on
 the row: a block's rows that share m are evaluated together, each equal to its
 series alone, bit for bit. The kernel is the only implementation of these
 formulas and the only sort: the simulation harness passes a block of
@@ -31,7 +31,6 @@ bit each per cell (0: the test has an outcome); it imports no package module.
 """
 from __future__ import annotations
 
-import functools
 import math
 from typing import NamedTuple
 
@@ -52,15 +51,16 @@ class TailGrid(NamedTuple):
     ``inf`` where every log excess vanishes. Only with a statistic requested
     are ``statistic``, ``l_hat``, ``scale`` (no decision at a level),
     ``total`` and ``n_exceed`` set. ``n_exceed`` is the count of strict
-    exceedances (ties lower it below ``k - 1``); ``total`` is that count
-    under ``indicator`` and the summed log excesses under ``log_excess``
-    (meaningless for a zero threshold). Only with the lag-1 adjustment are
-    ``cross`` (summed products of adjacent log excesses, meaningless for a
-    zero threshold), ``omega_hat`` and ``chi_hat`` (NaN unless ``alpha_hat``
-    is finite). ``status`` holds one bit per documented degeneracy of the cell
-    (``TOO_SHORT``, ``ZERO_FLOOR``, ``ZERO_THRESHOLD``, and ``INFINITE_ALPHA``
-    under ``log_excess`` only); the change test has an outcome exactly where it
-    is 0 (every outcome reports ``alpha_hat``).
+    exceedances (ties lower it below ``k - 1``); ``total`` is the last
+    running sum: that count under ``indicator``, the log excesses added in
+    series order under ``log_excess`` (meaningless for a zero threshold).
+    Only with the lag-1 adjustment are ``cross`` (summed products of adjacent
+    log excesses, meaningless for a zero threshold), ``omega_hat`` and
+    ``chi_hat`` (NaN unless ``alpha_hat`` is finite). ``status`` holds one bit
+    per documented degeneracy of the cell (``TOO_SHORT``, ``ZERO_FLOOR``,
+    ``ZERO_THRESHOLD``, and ``INFINITE_ALPHA`` under ``log_excess`` only); the
+    change test has an outcome exactly where it is 0 (every outcome reports
+    ``alpha_hat``).
     """
 
     threshold: np.ndarray
@@ -171,8 +171,8 @@ def tail_grid(x: np.ndarray, ks, phi: str | None = None, adjust: str = "iid") ->
     # inf * 0 (the indicator scaling without lag 1 reads only its shape)
     finite_alpha = np.where(np.isinf(alpha_hat), np.nan, alpha_hat)
     # Every row's exceedances lie among its m values above its smallest threshold; the per-k
-    # work runs on those (..., K, m) columns only. Ties give rows different m: padding to one m
-    # would regroup the pairwise sums, so the rows of each m go together.
+    # work runs on those (..., K, m) columns only. Ties give rows different m: the rows of each m go
+    # together, so that their hits reshape to (rows, m) and no padding regroups the float lag-1 cross sums.
     if v.ndim == 1:
         hits = (pool > srt[kmax - 1]).nonzero()[0] if pos is None else pos[pool > srt[kmax - 1]]
         sums = _segments(v, hits, threshold, kk, finite_alpha, phi, adjust)
@@ -225,8 +225,7 @@ def _pool(x: np.ndarray, kmax: int) -> tuple[np.ndarray | None, np.ndarray]:
 
 def _segments(v, hits, threshold, kk, finite_alpha, phi, adjust) -> dict:
     """Lag-1 inflations, statistic and scaling of one series or a block sharing m; ``hits`` index its data,
-    whose absolute values are read. A block or a series shorter than ``_CHUNK`` is the kernel's own copy and
-    holds the log-excess row once its values at ``hits`` are read; a longer series is only read."""
+    whose absolute values are read there and nowhere else."""
     n = v.shape[-1]
     lead = () if v.ndim == 1 else (np.arange(len(v))[:, None],)  # each column's row in a block
     idx = hits - n * lead[0] if lead else hits  # the columns' positions in their series
@@ -253,20 +252,7 @@ def _segments(v, hits, threshold, kk, finite_alpha, phi, adjust) -> dict:
     ends[..., 0, 0], ends[..., -1, 1] = 0, n
     ends[..., 1:, 0] = idx + 1
     ends[..., :-1, 1] = idx
-    if phi == "indicator":
-        total = partial[..., -1, 0]  # an exact count
-    elif v.ndim > 1 or n < _CHUNK:
-        # np.add.reduce of the full-length row, in numpy's pairwise order, fixes the rounding of D;
-        # the kernel's copy is that row for every k
-        v.fill(0.0)
-        total = np.empty(threshold.shape)
-        for j in range(kk.size):
-            v.reshape(-1)[hits] = values[..., j, :]
-            total[..., j] = np.add.reduce(v, axis=-1)
-    else:
-        # a long series: the same sums from its exceedances alone, in the same order (this relies on
-        # np.add.reduce keeping that order, which test_pairwise_total_is_numpys_row_sum pins)
-        total = _pairwise_total(n, idx, values)
+    total = partial[..., -1, 0]  # S(n), so D(n) = 0: an exact count, or the log excesses added in series order
 
     # On a segment S is constant and (l / n) * total grows with l, strictly
     # unless total == 0 (rounding keeps this for n far below 2**50), so the
@@ -284,58 +270,3 @@ def _segments(v, hits, threshold, kk, finite_alpha, phi, adjust) -> dict:
                 l_hat=ends.reshape(idx.shape[:-1] + (width,))[lead + (first_max,)],
                 scale=scale(phi, adjust, finite_alpha, sums.get("omega_hat"), sums.get("chi_hat")))
     return sums
-
-
-@functools.lru_cache(maxsize=4)  # the arrays are shared: read them only
-def _pairwise_plan(n: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """The leaves of numpy's pairwise summation tree over ``n`` values, for :func:`_pairwise_total`.
-
-    numpy splits a run of ``L > 128`` values after ``L // 2 - (L // 2) % 8``: in 8-value blocks, the first
-    half takes the floor of half the blocks, and the last run keeps the ``n % 8`` rest. So every node at
-    one depth has the same number of blocks to one, and at the first depth with a node of at most 16 blocks
-    each node is a leaf or splits into two leaves. Returns the ends of those ``2 ** (depth + 1)`` leaves (a
-    node that does not split is an empty leaf and itself), the leaf holding each 64th value, and the depth.
-    """
-    q, r = divmod(n, 8)
-    depth = (q // 17).bit_length()
-    turns = np.zeros(1, np.int64)  # each node's right turns, the first as the lowest bit
-    for _ in range(depth):
-        turns = np.concatenate([2 * turns, 2 * turns + 1])
-    blocks = (q + turns) >> depth  # a right turn takes the ceiling of half
-    half = (8 * blocks + r * (turns == turns[-1]) > 128) * (blocks // 2)  # the last node also holds the rest
-    ends = 8 * np.cumsum(np.stack([half, blocks - half], -1).ravel())
-    ends[-1] = n
-    return ends, np.repeat(np.arange(ends.size, dtype=np.int32), np.diff(-(-ends // 64), prepend=0)), depth
-
-
-def _pairwise_total(n: int, idx: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """``np.add.reduce`` of the length-``n`` row holding ``values[..., i]`` at ``idx[i]`` (ascending) and 0
-    elsewhere, bit for bit, from the hits alone; ``values`` is ``(m,)`` or ``(K, m)``, one row each.
-
-    numpy sums a leaf in 8 lanes, one value at a time each, as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``,
-    adds the ``n % 8`` rest of the last leaf one by one, and adds the two halves of every node. A part of
-    the row without hits adds an exact 0 there, so only the leaves with hits are summed.
-    """
-    ends, leaf_at, depth = _pairwise_plan(n)
-    body = idx < n - n % 8
-    at = idx[body]
-    leaf = leaf_at[at >> 6]
-    for _ in range(2):  # a leaf holds at least 64 values: the next one, past an empty leaf at most
-        leaf += at >= ends[leaf]
-    first = np.diff(leaf, prepend=-1) != 0  # the first hit of each leaf with one
-    cell = 8 * np.cumsum(first) - 8 + (at & 7)
-    rows = np.atleast_2d(values)
-    total = np.empty(len(rows))
-    for j, row in enumerate(rows):
-        lanes = np.zeros(8 * np.count_nonzero(first))
-        np.add.at(lanes, cell, row[body])  # in the order of the hits
-        for _ in range(3):
-            lanes = lanes[::2] + lanes[1::2]
-        tree = np.zeros(ends.size)
-        tree[leaf[first]] = lanes
-        for value in row[~body]:
-            tree[-1] += value
-        for _ in range(depth + 1):
-            tree = tree[::2] + tree[1::2]
-        total[j] = tree[0]
-    return total.reshape(values.shape[:-1])

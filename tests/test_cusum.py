@@ -65,9 +65,16 @@ def test_deviation_validation():
 def test_deviation_ends_at_zero(case):
     xs, k = case
     for phi in ("indicator", "log_excess"):
-        d = deviation_process(xs, k, phi)
-        scale = max(1.0, float(np.max(np.abs(d))))
-        assert abs(d[-1]) <= 1e-10 * scale
+        assert deviation_process(xs, k, phi)[-1] == 0.0
+
+
+@pytest.mark.parametrize("n, k", [(40, 7), (10**5, 500)])
+@pytest.mark.parametrize("phi", PHI_KINDS)
+def test_deviation_of_a_signed_series_ends_at_exactly_zero(n, k, phi):
+    # the total is the last running sum, so D(n) = S(n) - (n / n) * S(n) holds no rounding at any length
+    for seed in range(3):
+        x = replication_rng(seed, 0).standard_t(3.0, n)
+        assert deviation_process(x, k, phi)[-1] == 0.0, seed
 
 
 # ---------------------------------------------------------------------------

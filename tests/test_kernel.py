@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import OracleDegenerate, tail_test_oracle
@@ -189,9 +189,8 @@ def _assert_same_grids(got_grid, want_grid, where):
 
 
 def test_signed_input_is_folded_into_a_copy_of_its_own():
-    # a series or block that is not sampled is folded by the kernel into a copy, which then holds the log-excess
-    # row (a sampled one only at its hits): the grid equals that of the absolute values bit for bit, and neither
-    # input is written
+    # a series or block that is not sampled is folded by the kernel into a copy (a sampled one only at its
+    # hits): the grid equals that of the absolute values bit for bit, and neither input is written
     rng = np.random.default_rng(11)
     cases = [(x, 40) for x in (rng.standard_t(3, 2**15 + 7), rng.standard_t(3, 60), rng.standard_t(3, (3, 60)),
                                np.array([2.0, -0.0, 0.0, 1.0, 3.0]), np.r_[np.full(64, 2.0), 3.0, -1.0, 0.5],
@@ -314,13 +313,11 @@ def test_residual_cusum_is_run_test_of_the_folded_residuals(n, k, phi):
 
 
 def test_long_signed_series_is_read_without_a_copy():
-    # an 8 MB series: one folded copy of it alone would be 8 MB, and so would a full-length row of log excesses;
-    # the summation plan of the log-excess total is built inside the traced call
+    # an 8 MB series: one folded copy of it alone would be 8 MB, and so would a full-length row of log excesses
     x = replication_rng(9, 0).standard_t(3.0, 2**20)
     for phi, adjust in (("indicator", "iid"), ("log_excess", "iid"), ("log_excess", "lag1")):
         cfg = TailTestConfig(k=1000, phi=phi, adjust=adjust)
         want = run_test(np.abs(x), cfg)
-        kernel._pairwise_plan.cache_clear()
         tracemalloc.start()
         try:
             got = run_test(x, cfg)
@@ -466,26 +463,31 @@ def test_kernel_imports_no_package_module():
             assert not any(alias.name.startswith("tailshift") for alias in node.names), ast.unparse(node)
 
 
-def test_log_excess_total_is_the_full_length_row_sum():
-    # each k's log excesses are summed as numpy sums the whole row, in its pairwise order, not in the order of
-    # the hits: over the row itself for short series and blocks, and from the hits for a long series
+def test_the_total_is_the_last_running_sum():
+    # each k's total adds that k's exceedance sizes one at a time in series order, as the running sums do, so
+    # D(n) = 0 exactly: for short series, blocks, sampled long series and a long series folded whole alike
     rng = np.random.default_rng(5)
     ks = [10, 50, 100]
     cases = [(x, ks) for x in (rng.standard_t(3, 1000), rng.standard_t(3, (3, 500)), rng.standard_t(3, 3 * CHUNK + 1),
                                rng.standard_t(3, 10**6))]
-    wide = rng.standard_t(3, 3 * CHUNK + 1)  # k above n // 128, a stride under 16: folded whole, summed from its hits
+    wide = rng.standard_t(3, 3 * CHUNK + 1)  # k above n // 128, a stride under 16: folded whole
     cases += [(wide, [10, 100, 800]), (np.abs(wide), [10, 100, 800])]
     for x, ks in cases:
         sampled = x.ndim == 1 and x.size >= CHUNK and max(ks) < x.size // 128
         assert (kernel._pool(x, max(ks))[0] is not None) == sampled  # the sampled long series are read in place
         signed = x.copy()
-        grid = tail_grid(x, ks, "log_excess")
         v = np.abs(x)
-        for j in range(len(ks)):
-            t = grid.threshold[..., j, None]
-            assert grid.total[..., j].tobytes() == np.add.reduce(np.log(np.maximum(v, t) / t), axis=-1).tobytes()
-        _assert_same_grids(grid, tail_grid(v, ks, "log_excess"), x.shape)
-        assert x.tobytes() == signed.tobytes()
+        for phi in ("indicator", "log_excess"):
+            grid = tail_grid(x, ks, phi)
+            thresholds, totals = grid.threshold.reshape(-1, len(ks)), grid.total.reshape(-1, len(ks))
+            for row, ts, got in zip(np.atleast_2d(v), thresholds, totals):
+                for t, total in zip(ts, got):
+                    top = row[row > t]  # the exceedances, in series order
+                    sizes = kernel.excess_sizes(top, np.array([t]))[0]
+                    want = np.add.accumulate(sizes)[-1] if phi == "log_excess" else np.float64(top.size)
+                    assert total.tobytes() == want.tobytes(), (x.shape, ks, phi, t)
+            _assert_same_grids(grid, tail_grid(v, ks, phi), x.shape)
+            assert x.tobytes() == signed.tobytes()
 
 
 def test_total_hand_cases():
@@ -502,39 +504,3 @@ def test_total_hand_cases():
     # without a statistic there is no row total
     assert tail_grid(v, [1, 2]).total is None
     assert tail_grid(v, [1, 2], adjust="lag1").total is None
-
-
-def _hit_rows(n, where, rng):
-    """The positions of a length-n row that hold a value: none, all, only the ``n % 8`` rest of its last leaf,
-    its two ends, or a random share."""
-    i = np.arange(n)
-    return {"none": i < 0, "all": i >= 0, "rest": i >= n - n % 8, "ends": (i == 0) | (i == n - 1),
-            "random": rng.random(n) < rng.random()}[where].nonzero()[0]
-
-
-@settings(max_examples=150, deadline=None)
-@example(10**6, "all", (3,), "ties", 0)
-@example(10**6, "random", (), "spread", 1)
-@example(2**15 + 1, "rest", (3,), "spread", 2)
-@example(2**15 - 1, "ends", (), "zeros", 3)
-@example(135, "all", (), "spread", 4)  # 16 blocks and a rest: the one leaf splits
-@example(7, "all", (3,), "zeros", 5)  # under 8 values: one by one
-@example(1, "none", (), "spread", 6)
-@given(st.integers(1, 300) | st.sampled_from([2**15 - 1, 2**15 + 1, 10**6]),
-       st.sampled_from(["none", "all", "rest", "ends", "random"]), st.sampled_from([(), (1,), (3,)]),
-       st.sampled_from(["spread", "zeros", "ties"]), st.integers(0, 2**32 - 1))
-def test_pairwise_total_is_numpys_row_sum(n, where, rows, values, seed):
-    # the total from the hits alone equals np.add.reduce of the materialised row byte for byte: this pins
-    # that np.add.reduce keeps the pairwise order the kernel follows
-    rng = np.random.default_rng(seed)
-    idx = _hit_rows(n, where, rng)
-    v = rng.standard_exponential(rows + (idx.size,))
-    if values == "zeros":
-        v[rng.random(v.shape) < 0.5] = 0.0
-    elif values == "ties":
-        v = np.round(v, 0)
-    row = np.zeros(rows + (n,))
-    row[..., idx] = v
-    want = np.add.reduce(row, axis=-1)
-    got = kernel._pairwise_total(n, idx, v)
-    assert got.shape == want.shape and got.tobytes() == want.tobytes(), (n, where, rows, values)

@@ -85,7 +85,11 @@ def fit_ar(x, order: int, method: str = "ols") -> ArFit:
     ----------
     x : array_like
         Observed finite series, length at least ``order + 2``. NaN and
-        infinite values are rejected with the index of the first one.
+        infinite values are rejected with the index of the first one. Such a
+        value always leaves the fit without a finite solution, so only a fit
+        without one has its series searched, and the value is named, not
+        reported as a degenerate fit. The order, the method and the length
+        are checked first.
     order : int
         Autoregressive order ``p >= 1``.
     method : str

@@ -4,20 +4,30 @@ Subcommands: ``test`` (change test on a series), ``ar-test`` (test on AR
 residuals), ``critical-values``, ``tables`` (benchmark grid reproduction) and
 ``simulate`` (generate series from the built-in models).
 
-Series input is newline-delimited decimal text; blank lines and ``#``
-comments are skipped and ``-`` reads standard input. A regular file is read
-by numpy's C reader (``np.loadtxt``); standard input, pipes and files holding
-a ``#`` go to a Python line loop. The reader's result is kept only when it is
+Series input is newline-delimited decimal text; blank lines, ``#`` comments
+and a file's leading UTF-8 byte-order mark are skipped, and ``-`` reads
+standard input. A regular file is read by numpy's C reader (``np.loadtxt``);
+standard input, pipes and files holding a ``#`` go to a Python line loop. The reader's result is kept only when it is
 provably what the loop returns, and otherwise the loop runs, so both accept
 the same syntax and give the same line-numbered messages. Exit codes for the
 test commands: 0 = no change detected, 2 = change detected, 1 = error. The
 ``TAILSHIFT_SEED`` environment variable supplies the default seed; flags
 override it.
 
-Each subcommand imports what it runs when it runs, so ``critical-values``
-loads ``null_dist`` and no numpy, while the test commands, ``tables`` and
-``simulate`` load numpy and their modules on their call. The parser is built
-once per process and reused by every ``main`` call.
+Each subcommand imports what it runs when it runs. Besides ``cli``,
+``_checks`` and ``null_dist``, a command loads these package modules:
+
+    critical-values, --help   none, and no numpy
+    critical-values --mc      kernel, tail_core, variates
+    test                      cusum, kernel, tail_core
+    ar-test                   ar_fit, cusum, kernel, tail_core
+    simulate                  kernel, tail_core, variates
+    tables                    ar_fit, cusum, experiments, kernel, tail_core, variates
+
+and every one but ``critical-values`` loads numpy. scipy is loaded only by a
+Yule-Walker fit (``scipy.linalg``) and an AR(1) path (``scipy.signal``, about
+a second to import). The parser is built once per process and reused by every
+``main`` call.
 """
 from __future__ import annotations
 
@@ -70,7 +80,7 @@ def _read_file_fast(path: str):
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             # comments=None: a '#' anywhere fails the parse, so commented files take the loop
-            x = np.loadtxt(path, comments=None, ndmin=2, encoding="utf-8")
+            x = np.loadtxt(path, comments=None, ndmin=2, encoding="utf-8-sig")
     except (OSError, ValueError):  # the loop gives the message, with the line
         return None
     if x.shape[1] != 1 or not np.isfinite(x).all():
@@ -83,7 +93,7 @@ def _read_lines(path: str):
     import numpy as np
 
     name = "<stdin>" if path == "-" else path
-    stream = sys.stdin if path == "-" else open(path, encoding="utf-8")
+    stream = sys.stdin if path == "-" else open(path, encoding="utf-8-sig")
     values = []
     try:
         for lineno, raw in enumerate(stream, start=1):
@@ -212,7 +222,8 @@ _LAWS = {"t": ("nu",), "burr": ("lam", "alpha", "beta", "gamma")}  # the flags o
 def _laws_from_args(args):
     """The law before ``--change-tau`` and the one after it (None without it), from the flags of the model's law.
 
-    A law flag that the model or a missing ``--change-tau`` would leave unused is a usage error.
+    A law flag that the model or a missing ``--change-tau`` would leave unused is a usage error. The flags are
+    checked before either law is built, and both laws are built before the model and its ``--coef``.
     """
     from .variates import BurrParams, TDistParams
 

@@ -7,11 +7,12 @@ values of each series and sorts only those. A long single series with a small
 ``max(k)`` is read in place: it is cut, one fixed chunk at a time, to its
 values not strictly inside ``(-c, c)`` for a bound ``c``, read off a sample of
 ``max(k) + 1`` runs of 8 contiguous values, that ``max(k) + 1`` of them reach
-(so none is lost), and only those are folded into the kernel's own arrays.
-Every other series, and every block, is folded whole into a copy of its own,
-which the kernel only reads. Every NaN and infinite value is in what is
-sorted, and NaN sorts last, so the kernel rejects non-finite input from its
-sorted top alone, without a pass of its own.
+(so none is lost), and only those are folded, into the pool that is sorted;
+the exceedances are then read again from the series at their positions and
+folded there (:func:`_segments`). Every other series, and every block, is
+folded whole into a copy of its own, which the kernel only reads. Every NaN
+and infinite value is in what is sorted, and NaN sorts last, so the kernel
+rejects non-finite input from its sorted top alone, without a pass of its own.
 For all k at once it evaluates the thresholds (the k-th largest values), the exceedances over
 them and their log sizes (on the m values above the smallest threshold only),
 the statistic with its first maximizer, the Hill estimate over the (k+1)-th
@@ -202,11 +203,15 @@ def _pool(x: np.ndarray, kmax: int) -> tuple[np.ndarray | None, np.ndarray]:
     and every NaN and infinite value; the kernel's one choice between reading ``x`` in place and folding it.
 
     A series of at least ``_CHUNK`` values whose stride ``n // (8 * (kmax + 1))`` is at least 16 is sampled in
-    ``kmax + 1`` evenly spaced runs of 8 contiguous values (one cache line each). It keeps its values at least
+    ``kmax + 1`` evenly spaced runs of 8 contiguous values (one cache line each): the first 8 values of each of
+    ``kmax + 1`` equal parts, so the ``n % (kmax + 1)`` values past the last part are never sampled. On a
+    shorter series, or at a larger ``kmax``, one partition of the whole is cheaper. It keeps its values at least
     the g-th largest of the folded sample (a guess at the 2(kmax+1)-th largest of ``|x|``) if kmax + 1 of them
-    reach it, else at least the sample's (kmax+1)-th. It is scanned in chunks of ``_CHUNK`` values for the
-    values not strictly inside ``(-c, c)``: those with ``|x| >= c``, and every NaN and infinite value for any
-    bound ``c``; no folded copy of it is made. Every other input (a shorter series, a ``kmax`` above about
+    reach it, else at least the sample's (kmax+1)-th, which at least kmax + 1 values of ``x`` reach. A bound
+    that kmax + 1 values reach lies at or below the (kmax+1)-th largest, so the pool holds the top values and
+    every exceedance, and the grid is exactly that of the whole series. It is scanned in chunks of ``_CHUNK``
+    values for the values not strictly inside ``(-c, c)``: those with ``|x| >= c``, and every NaN and infinite
+    value for any bound ``c``; no folded copy of it is made. Every other input (a shorter series, a ``kmax`` above about
     n/128, a block) gives ``(None, np.abs(x))``: all of ``x``, folded into the kernel's own copy.
     """
     n = x.shape[-1]

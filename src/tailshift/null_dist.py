@@ -8,8 +8,6 @@ The analytic path is pure ``math`` and loads neither numpy nor ``dataclasses``
 (the table is a ``NamedTuple``); the Monte Carlo recipe imports numpy and the
 tail kernel's bridge supremum when it is called.
 """
-from __future__ import annotations
-
 import io
 import math
 import numbers

@@ -19,8 +19,10 @@ field that reads as an integer or a float is stored as one.
 a ``spec`` entry, integer, string and bool exactly and every other float
 within ``1e-12`` relative, since numpy's vector math and BLAS may round the
 last bits differently on another CPU. The file records the platform it was
-made on; there ``--check`` demands the very bytes of the file. Regenerating
-the file changes that check; say so, and why, in CHANGES.md.
+made on; there ``--check`` demands the very bytes of the file and names the
+first value that differs. Without ``--check`` the script regenerates the file,
+the one command to run when an output or a design is meant to change. Doing
+so changes a check: say so, and why, in CHANGES.md.
 """
 import argparse
 import contextlib

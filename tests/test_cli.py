@@ -59,6 +59,18 @@ def test_plain_file_takes_numpys_reader(tmp_path):
     assert cli._read_file_fast(write(tmp_path, "1\n# c\n2\n", "c.txt")) is None  # a '#' takes the loop
 
 
+def test_a_byte_order_mark_is_skipped_by_both_readers(tmp_path, capsys):
+    # Excel's "CSV UTF-8" export starts the file with one
+    bom = "\ufeff"
+    plain = write(tmp_path, bom + "1.5\n2\n3\n4\n", "bom.txt")
+    commented = write(tmp_path, bom + "# c\n1.5\n2\n", "c.txt")
+    assert cli._read_file_fast(plain).tolist() == cli._read_lines(plain).tolist() == [1.5, 2.0, 3.0, 4.0]
+    assert cli._read_file_fast(commented) is None  # a '#' takes the loop
+    assert read_series(commented).tolist() == [1.5, 2.0]
+    assert main(["test", plain, "--k", "2"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_pipes_are_read_once(tmp_path):
     text = "1.5\n# c\n-2\n3e2\n"
     r, w = os.pipe()  # an anonymous pipe, as `tailshift test <(cmd)` passes it
@@ -154,10 +166,10 @@ def _outcome(reader, path):
 
 @settings(max_examples=300, deadline=None)
 @given(lines=st.lists(_LINES, max_size=12), newline=st.sampled_from(["\n", "\r\n", "\r"]),
-       last=st.booleans())
-def test_read_series_matches_the_line_loop(series_dir, lines, newline, last):
+       last=st.booleans(), bom=st.sampled_from(["", "\ufeff"]))
+def test_read_series_matches_the_line_loop(series_dir, lines, newline, last, bom):
     path = series_dir / "drawn.txt"
-    path.write_bytes((newline.join(lines) + (newline if last else "")).encode("utf-8"))
+    path.write_bytes((bom + newline.join(lines) + (newline if last else "")).encode("utf-8"))
     assert _outcome(read_series, str(path)) == _outcome(cli._read_lines, str(path))
 
 
@@ -851,6 +863,7 @@ assert tailshift.__all__ == {names!r}, tailshift.__all__
 tailshift.analytic_critical_values((0.95,))
 assert submodules() == ["tailshift._checks", "tailshift.null_dist"], submodules()
 assert "numpy" not in sys.modules  # the analytic critical values are pure math
+assert "__future__" not in sys.modules  # every module on this path evaluates its own annotations
 tailshift.run_test([5.0, 1.0, 2.0, 3.0, 4.0, 0.5], tailshift.TailTestConfig(k=2))
 assert submodules() == [
     "tailshift._checks", "tailshift.cusum", "tailshift.kernel", "tailshift.null_dist", "tailshift.tail_core",
